@@ -45,13 +45,6 @@ struct BenchResult {
     /// topology (deterministic — a property of the simulation, not of
     /// wall clock).
     sim_calls_per_sec: Option<f64>,
-    /// Worker-thread count and mean of the parallel-host-execution
-    /// timing, for benches that re-run the same workload with the
-    /// fleet sharded across OS threads. `mean` stays the sequential
-    /// (threads=1) number so the regression gate keeps comparing
-    /// like with like; the speedup is `mean / par_mean`.
-    par_threads: Option<usize>,
-    par_mean: Option<Duration>,
     /// Simulated cost of one migration round trip, for the
     /// `fig_isa_matrix` family (deterministic — the bench gate compares
     /// it exactly, so any ISA-pair timing change fails CI explicitly).
@@ -61,12 +54,6 @@ struct BenchResult {
     /// watches goodput and p99 so a queueing or admission regression
     /// fails CI, while `mean_ns` keeps tracking simulator wall cost).
     tail: Option<ServingSummary>,
-}
-
-impl BenchResult {
-    fn host_speedup(&self) -> Option<f64> {
-        Some(self.mean.as_secs_f64() / self.par_mean?.as_secs_f64())
-    }
 }
 
 impl BenchResult {
@@ -110,8 +97,6 @@ fn bench(
         samples,
         insts_per_iter,
         sim_calls_per_sec: None,
-        par_threads: None,
-        par_mean: None,
         sim_round_trip_ns: None,
         tail: None,
     };
@@ -187,24 +172,14 @@ fn tput_program(tag: i64) -> ProgramBuilder {
     p
 }
 
-/// Worker-thread count the parallel-host-execution timings run at.
-const PAR_WORKERS: usize = 4;
-
-/// Runs the throughput fleet on `hosts` host cores × `nxps` NxPs with
-/// `threads` OS worker threads, under an optional fault plan; returns
-/// the simulated finish time (identical for every `threads` value).
-fn run_tput_fleet_at(
-    hosts: usize,
-    nxps: usize,
-    threads: usize,
-    plan: Option<FaultPlan>,
-) -> Picos {
+/// Runs the throughput fleet on `hosts` host cores × `nxps` NxPs,
+/// under an optional fault plan; returns the simulated finish time.
+fn run_tput_fleet_at(hosts: usize, nxps: usize, plan: Option<FaultPlan>) -> Picos {
     let mut b = Machine::builder()
         .trace(TraceConfig {
             enabled: false,
             capacity: 0,
         })
-        .threads(threads)
         .topology(Topology::new(hosts, nxps));
     if let Some(plan) = plan {
         b = b.fault_plan(plan);
@@ -218,43 +193,30 @@ fn run_tput_fleet_at(
     m.host_now()
 }
 
-/// The 2-host variant every pre-parallel bench used.
+/// The 2-host variant of the throughput fleet.
 fn run_tput_fleet(nxps: usize, plan: Option<FaultPlan>) -> Picos {
-    run_tput_fleet_at(2, nxps, 1, plan)
+    run_tput_fleet_at(2, nxps, plan)
 }
 
 /// Migration throughput at a topology: 8 processes × 8 NxP calls over
 /// `hosts` host cores and a varying NxP count. The wall-clock number
 /// tracks simulator cost; the attached `sim_calls_per_sec` is the
 /// paper-side result — simulated calls/sec must scale with the NxP
-/// count. Each topology is timed twice: sequential (`mean_ns`, what
-/// the regression gate watches) and sharded across [`PAR_WORKERS`] OS
-/// threads (`par_mean_ns` / `host_speedup`); both produce the same
-/// simulated timeline.
+/// count.
 fn bench_migration_throughput(
     samples: u32,
     hosts: usize,
     nxps: usize,
     name: &'static str,
 ) -> BenchResult {
-    let sim_elapsed = run_tput_fleet_at(hosts, nxps, 1, None);
+    let sim_elapsed = run_tput_fleet_at(hosts, nxps, None);
     let calls = (TPUT_PROCS * TPUT_CALLS) as f64;
     let sim_cps = calls / (sim_elapsed.as_nanos_f64() * 1e-9);
     let mut r = bench(name, samples, None, || {
-        black_box(run_tput_fleet_at(hosts, nxps, 1, None));
-    });
-    let (par_mean, par_best) = time_loop(samples, || {
-        black_box(run_tput_fleet_at(hosts, nxps, PAR_WORKERS, None));
+        black_box(run_tput_fleet_at(hosts, nxps, None));
     });
     r.sim_calls_per_sec = Some(sim_cps);
-    r.par_threads = Some(PAR_WORKERS);
-    r.par_mean = Some(par_mean);
     println!("{:<32} {sim_cps:>12.0} simulated calls/sec", "");
-    println!(
-        "{:<32} par({PAR_WORKERS}) mean {par_mean:>8.3?}  best {par_best:>8.3?}  (host speedup {:.2}x)",
-        "",
-        r.host_speedup().unwrap()
-    );
     r
 }
 
@@ -623,25 +585,6 @@ fn bench_graph_generation(samples: u32) -> BenchResult {
 fn to_json(samples: u32, results: &[BenchResult]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"samples\": {samples},\n"));
-    // Self-annotate the recording host: host_speedup < 1 is expected
-    // when the recorder has one core, and the gate skips parallel
-    // fields accordingly.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    out.push_str(&format!("  \"host_parallelism\": {cores},\n"));
-    // The note matches the recorder: on one core par_* numbers are
-    // informational (sharding cannot beat sequential), on several they
-    // are real and bench_gate gates them.
-    if cores > 1 {
-        out.push_str(
-            "  \"par_note\": \"recorded on a multi-core runner; bench_gate gates \
-             par_mean_ns, and host_speedup < 1 would be a real regression\",\n",
-        );
-    } else {
-        out.push_str(
-            "  \"par_note\": \"par_mean_ns/host_speedup are informational when \
-             host_parallelism is 1; bench_gate only gates them on multi-core runners\",\n",
-        );
-    }
     out.push_str("  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
         let sep = if i + 1 < results.len() { "," } else { "" };
@@ -653,12 +596,6 @@ fn to_json(samples: u32, results: &[BenchResult]) -> String {
         };
         if let Some(cps) = r.sim_calls_per_sec {
             extra.push_str(&format!(", \"sim_calls_per_sec\": {cps:.0}"));
-        }
-        if let (Some(t), Some(p), Some(s)) = (r.par_threads, r.par_mean, r.host_speedup()) {
-            extra.push_str(&format!(
-                ", \"threads\": {t}, \"par_mean_ns\": {}, \"host_speedup\": {s:.2}",
-                p.as_nanos()
-            ));
         }
         if let Some(ns) = r.sim_round_trip_ns {
             extra.push_str(&format!(", \"sim_round_trip_ns\": {ns}"));

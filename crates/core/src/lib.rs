@@ -62,7 +62,6 @@
 pub mod descriptor;
 pub mod handlers;
 pub mod health;
-mod leg;
 pub mod machine;
 pub mod nxp;
 pub mod services;

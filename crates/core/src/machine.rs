@@ -11,12 +11,13 @@
 use crate::descriptor::{DescKind, MigrationDescriptor};
 use crate::handlers;
 use crate::health::{BreakerState, HealthMonitor};
-use crate::leg;
 use crate::nxp::{NxpRuntime, NxpTiming};
 use crate::services::{self as svc, desc_layout as L};
 use crate::serving::{ServingCompletion, ServingCtx, ServingReport, ServingRequest};
 use crate::topology::{NxpPlacement, Topology};
-use flick_cpu::{ChainCounters, Core, CoreConfig, Exception, InstFaultKind, MemEnv, StopReason};
+use flick_cpu::{
+    ChainCounters, Core, CoreConfig, CpuContext, Exception, InstFaultKind, MemEnv, StopReason,
+};
 use flick_isa::{abi, IsaId};
 use flick_mem::{PhysAddr, PhysMem, VirtAddr};
 use flick_os::{Kernel, KernelError, LoadError, OsTiming, RunQueues};
@@ -92,14 +93,6 @@ pub enum RunError {
         /// The pids that never completed.
         stuck: Vec<u64>,
     },
-    /// A parallel-host leg worker thread died (panicked mid-leg or
-    /// exited early). The leg's core and private memory went down with
-    /// it, so the run cannot continue — but the failure surfaces as an
-    /// error the caller can report instead of aborting the process.
-    WorkerDied {
-        /// Index of the dead worker thread.
-        worker: usize,
-    },
 }
 
 impl fmt::Display for RunError {
@@ -125,9 +118,6 @@ impl fmt::Display for RunError {
                     "scheduler deadlock: no runnable task or pending wake-up; \
                      stuck pids {stuck:?}"
                 )
-            }
-            RunError::WorkerDied { worker } => {
-                write!(f, "leg worker thread {worker} died")
             }
         }
     }
@@ -331,10 +321,6 @@ enum EcallFlow {
     /// context (graceful degradation unwound the migration); reinstall
     /// it and keep running.
     Resume,
-    /// The thread suspended for migration and its NxP leg was handed
-    /// to a worker thread (pipelined mode); the wake surfaces via
-    /// `ready_wakes` when the leg joins.
-    Dispatched,
 }
 
 /// Outcome of one NxP pickup attempt of a host→NxP burst.
@@ -378,7 +364,6 @@ pub struct MachineBuilder {
     topology: Option<Topology>,
     nxp_placement: Option<NxpPlacement>,
     observability: Option<bool>,
-    threads: Option<usize>,
     nxp_isas: Option<Vec<IsaId>>,
     ring_occupancy: Option<bool>,
 }
@@ -446,8 +431,8 @@ impl MachineBuilder {
         self
     }
 
-    /// Configures the machine as `topology.host_cores` symmetric host
-    /// cores × `topology.nxp_cores` NxPs, each NxP behind its own
+    /// Configures the machine as `topology.host_cores()` symmetric host
+    /// cores × `topology.nxp_cores()` NxPs, each NxP behind its own
     /// descriptor channel. The default is the paper's 1×1 pair.
     pub fn topology(mut self, t: Topology) -> Self {
         self.topology = Some(t);
@@ -506,14 +491,10 @@ impl MachineBuilder {
         self
     }
 
-    /// Number of OS worker threads for NxP leg execution. `1` (the
-    /// default) keeps the fully sequential engine; `0` means "auto" —
-    /// one worker per available host hardware thread. Any value keeps
-    /// the simulated timeline bit-identical: parallelism only changes
-    /// which *host* thread interprets an NxP leg, never when the leg
-    /// happens on the simulated clock.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
+    /// Accepted and ignored; legs run inline. NxP legs execute in place
+    /// inside the host `ecall` that sends them, so there is no host
+    /// worker pool to size. Kept so existing callers still build.
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 
@@ -536,15 +517,8 @@ impl MachineBuilder {
             nxp_cfg.fast_path = fp;
         }
         let topology = self.topology.unwrap_or_default();
-        let threads = match self.threads {
-            None => 1,
-            Some(0) => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            Some(n) => n,
-        };
         let listed = self.nxp_isas.unwrap_or_default();
-        let nxp_isas: Vec<IsaId> = (0..topology.nxp_cores)
+        let nxp_isas: Vec<IsaId> = (0..topology.nxp_cores())
             .map(|i| listed.get(i).copied().unwrap_or(IsaId::Rv64))
             .collect();
         let nxp_cfgs: Vec<CoreConfig> = nxp_isas
@@ -562,12 +536,12 @@ impl MachineBuilder {
             })
             .collect();
         Machine {
-            hosts: (0..topology.host_cores)
+            hosts: (0..topology.host_cores())
                 .map(|_| Core::new(host_cfg.clone()))
                 .collect(),
             nxps: nxp_cfgs.iter().map(|c| Core::new(c.clone())).collect(),
             nxp_isas,
-            fabric: PcieFabric::new(env.latency.clone(), topology.nxp_cores),
+            fabric: PcieFabric::new(env.latency.clone(), topology.nxp_cores()),
             irq: InterruptController::new(),
             kernel,
             nxp_rt: NxpRuntime::new(),
@@ -577,11 +551,11 @@ impl MachineBuilder {
             vas: HashMap::new(),
             symbols: HashMap::new(),
             plan: self.fault_plan.unwrap_or_else(FaultPlan::none),
-            emus: (0..topology.host_cores).map(|_| None).collect(),
-            chans: vec![ChannelSeqs::default(); topology.nxp_cores],
+            emus: (0..topology.host_cores()).map(|_| None).collect(),
+            chans: vec![ChannelSeqs::default(); topology.nxp_cores()],
             retained_n2h: HashMap::new(),
             retained_h2n: HashMap::new(),
-            health: HealthMonitor::new(topology.nxp_cores),
+            health: HealthMonitor::new(topology.nxp_cores()),
             nxp_of: HashMap::new(),
             placement: self.nxp_placement.unwrap_or_default(),
             rr_next: 0,
@@ -591,19 +565,10 @@ impl MachineBuilder {
             span_of: HashMap::new(),
             last_nx_fault: HashMap::new(),
             retired: 0,
-            threads,
-            par: None,
-            pipelined: false,
-            spares: (0..topology.nxp_cores).map(|_| None).collect(),
-            in_flight: HashMap::new(),
-            parked: HashMap::new(),
-            ready_wakes: Vec::new(),
-            par_counter_offset: 0,
-            next_leg_id: 0,
-            kill_next_leg: false,
+            retired_emu_insts: 0,
             serving: None,
             ring_occupancy: if self.ring_occupancy.unwrap_or(false) {
-                Some((0..topology.nxp_cores).map(|_| VecDeque::new()).collect())
+                Some((0..topology.nxp_cores()).map(|_| VecDeque::new()).collect())
             } else {
                 None
             },
@@ -623,8 +588,8 @@ pub struct Machine {
     topology: Topology,
     hosts: Vec<Core>,
     nxps: Vec<Core>,
-    /// ISA of each NxP slot, in slot order (stable across detach /
-    /// spare swaps and failover rejoins).
+    /// ISA of each NxP slot, in slot order (stable across failover
+    /// rejoins).
     nxp_isas: Vec<IsaId>,
     fabric: PcieFabric,
     irq: InterruptController,
@@ -688,39 +653,10 @@ pub struct Machine {
     /// scheduling loop's fuel accounting reads one field instead of
     /// re-summing every core each iteration.
     retired: u64,
-    /// Worker-thread count for NxP leg execution (1 = sequential).
-    threads: usize,
-    /// The worker pool, spawned lazily on the first pipelined run.
-    par: Option<leg::ParEngine>,
-    /// Whether the *current* run may overlap NxP legs with host
-    /// execution. Decided once per event loop: requires `threads > 1`,
-    /// effectively unbounded fuel (preemption quanta stay per-call),
-    /// and an inert fault plan — chaos and failover runs always take
-    /// the serialized engine, whose state evolution is byte-identical
-    /// to the original inline one.
-    pipelined: bool,
-    /// Stand-in cores occupying fleet slots while the real core is out
-    /// on a leg; swapped back at join. A spare never executes, so its
-    /// clock and counters stay zero.
-    spares: Vec<Option<Core>>,
-    /// In-flight leg bookkeeping, keyed by channel. The engine keeps at
-    /// most one leg in flight per channel — that invariant is what
-    /// makes per-channel sequence assignment order-identical to the
-    /// sequential engine.
-    in_flight: HashMap<usize, InFlightLeg>,
-    /// Completed legs received out of join order, parked by leg id.
-    parked: HashMap<u64, leg::LegResult>,
-    /// Wakes produced by joins, drained into the scheduler's pending
-    /// heaps at the next event-loop touchpoint. `(host core, pid, wake)`.
-    ready_wakes: Vec<(usize, u64, PendingWake)>,
-    /// Instructions already retired by cores currently out on legs —
-    /// keeps the `executed()` invariant exact while a core is detached.
-    par_counter_offset: u64,
-    /// Monotone dispatch counter for legs.
-    next_leg_id: u64,
-    /// Chaos seam: when set, the next dispatched leg's worker panics
-    /// (tests use this to prove worker death surfaces as an error).
-    kill_next_leg: bool,
+    /// Instructions retired by emulator cores that were since replaced
+    /// by one of another guest ISA — keeps the `executed()` invariant
+    /// exact after the old core is dropped.
+    retired_emu_insts: u64,
     /// Open-loop serving state while [`Machine::run_serving`] drives
     /// the event loop; `None` in every other mode, which keeps the
     /// closed-loop paths byte-identical to the pre-serving machine.
@@ -730,27 +666,6 @@ pub struct Machine {
     /// ([`MachineBuilder::ring_occupancy_admission`]). `None` = knob
     /// off, nothing recorded.
     ring_occupancy: Option<Vec<VecDeque<Picos>>>,
-}
-
-/// Coordinator-side record of one dispatched leg.
-struct InFlightLeg {
-    /// Matches [`leg::LegResult::leg_id`].
-    leg_id: u64,
-    /// Host core that dispatched (and will be woken by) the leg.
-    hc: usize,
-    /// The migrating thread.
-    pid: u64,
-    /// Instructions the NxP core had retired before it left the fleet.
-    pre_insts: u64,
-    /// Global text generation at dispatch (sharded-memory mode).
-    init_gen: u64,
-    /// Global trace length at dispatch: the splice position where this
-    /// leg's events belong.
-    trace_pos: usize,
-    /// Whole-memory (serialized) vs per-process-frames (pipelined).
-    whole_mem: bool,
-    /// The leg's published NxP clock, polled to decide due joins.
-    clock_pub: std::sync::Arc<std::sync::atomic::AtomicU64>,
 }
 
 impl fmt::Debug for Machine {
@@ -994,12 +909,6 @@ impl Machine {
         }
     }
 
-    /// Number of OS worker threads used for parallel host execution
-    /// (1 = fully sequential in-process execution).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Allocates NxP-DRAM heap for `pid` without charging simulated
     /// time — workload harnesses use this to stage data structures
     /// (linked lists, graphs) before the measured run, the way the
@@ -1144,9 +1053,9 @@ impl Machine {
     /// overload shows up in the tail instead of vanishing into
     /// coordinated omission).
     ///
-    /// The run is bit-identical for any worker-thread count and any
-    /// rerun at the same schedule, like every other mode of the
-    /// machine: arrivals are just one more deterministic event source.
+    /// The run is bit-identical for any rerun at the same schedule,
+    /// like every other mode of the machine: arrivals are just one
+    /// more deterministic event source.
     ///
     /// # Errors
     ///
@@ -1196,10 +1105,6 @@ impl Machine {
             side: Side::Host,
             context: "serving context vanished during the run",
         })?;
-        // All requests completed, so no task is suspended and no leg
-        // can still be in flight; land any stragglers defensively so
-        // the fleet clocks are final before the snapshot.
-        self.join_all_legs()?;
         let finished_at = ctx
             .completions
             .iter()
@@ -1220,39 +1125,6 @@ impl Machine {
     /// work, or awaits a wake-up; when no core qualifies but processes
     /// remain, the machine is deadlocked.
     fn run_event_loop(
-        &mut self,
-        pids: &[u64],
-        fuel: u64,
-        quantum: u64,
-    ) -> Result<Vec<(u64, Outcome)>, RunError> {
-        // Pipelined mode: overlap NxP legs with host execution on
-        // worker threads. Only worth engaging (and only proven
-        // equivalent) for effectively-unbounded fuel budgets and an
-        // inert fault plan; everything else takes the serialized
-        // engine, whose state evolution is byte-identical to the
-        // original inline one.
-        self.pipelined = self.threads > 1
-            && fuel > u64::MAX / 4
-            && !self.plan.is_active()
-            && !self.plan.has_device_events();
-        if self.pipelined && self.par.is_none() {
-            self.par = Some(leg::ParEngine::new(self.threads));
-        }
-        let r = self.event_loop_inner(pids, fuel, quantum);
-        if r.is_err() {
-            // A failed run must not leave legs in flight: join them
-            // (best-effort — the run's error is what gets reported)
-            // and drop their wakes.
-            while let Some(&nc) = self.in_flight.keys().min() {
-                let _ = self.join_leg(nc);
-            }
-            self.ready_wakes.clear();
-        }
-        debug_assert!(self.in_flight.is_empty());
-        r
-    }
-
-    fn event_loop_inner(
         &mut self,
         pids: &[u64],
         fuel: u64,
@@ -1297,7 +1169,6 @@ impl Machine {
             if self.executed() - start_insts >= fuel {
                 return Err(RunError::FuelExhausted);
             }
-            self.drain_ready_wakes(&mut pending, &mut wakes)?;
             let stealable = rq.total() > 0;
             let hc = (0..n)
                 .filter(|&c| {
@@ -1306,7 +1177,6 @@ impl Machine {
                         || rq.len(c) > 0
                         || stealable
                         || !pending[c].is_empty()
-                        || self.has_inflight_for(c)
                         || self
                             .serving
                             .as_ref()
@@ -1361,13 +1231,8 @@ impl Machine {
     ) -> Result<(), RunError> {
         // Deliver every wake-up that has already fired on this core,
         // oldest first; a preempted thread re-queues *behind* the
-        // freshly woken ones. Delivery advances the host clock, so
-        // in-flight legs are re-checked for due joins every iteration
-        // — the heap must hold exactly the wakes the sequential engine
-        // would have at each delivery decision.
+        // freshly woken ones.
         loop {
-            self.resolve_due_legs(hc)?;
-            self.drain_ready_wakes(pending, wakes)?;
             if pending[hc]
                 .peek()
                 .is_none_or(|&Reverse((due, _))| due > self.hosts[hc].clock().now())
@@ -1381,11 +1246,6 @@ impl Machine {
                 side: Side::Host,
                 context: "heaped wake-up without a wake record",
             })?;
-            // Another thread's leg may still be in flight on this
-            // wake's channel; the sequential engine had it complete
-            // before this delivery reads the channel's rings.
-            self.join_leg(wake.chan)?;
-            self.drain_ready_wakes(pending, wakes)?;
             self.deliver_wakeup(hc, pid, wake)?;
             let now = self.hosts[hc].clock().now();
             let task = self.kernel.task_mut(pid)?;
@@ -1414,13 +1274,8 @@ impl Machine {
                     pid
                 }
                 None => {
-                    // Idle: nothing to run until a wake arrives, so any
-                    // leg this core dispatched must land first — this
-                    // join is the conservative-synchronization barrier
-                    // (wait = the slowest in-flight leg, not the sum).
-                    self.join_core_legs(hc)?;
-                    self.drain_ready_wakes(pending, wakes)?;
-                    // Fast-forward to this core's earliest wake — or,
+                    // Idle: nothing to run until a wake arrives, so
+                    // fast-forward to this core's earliest wake — or,
                     // in serving mode, its next request arrival if that
                     // comes sooner (an idle open-loop core must advance
                     // to the next arrival or the fleet would deadlock
@@ -1485,13 +1340,6 @@ impl Machine {
                         return Ok(()); // this core is free for others
                     }
                     EcallFlow::Resume => self.install_task(hc, pid)?,
-                    EcallFlow::Dispatched => {
-                        // The NxP leg is running on a worker thread;
-                        // its wake joins the pending heap at the next
-                        // touchpoint. The core is free meanwhile.
-                        slots[hc].running = None;
-                        return Ok(());
-                    }
                 },
                 StopReason::Fault(Exception::InstFault {
                     va,
@@ -1544,11 +1392,7 @@ impl Machine {
                     // Quantum expired. Preempt only if a wake-up is
                     // actually due here — otherwise the task keeps the
                     // core and the turn ends (another core may hold
-                    // the globally earliest clock now). The heap must
-                    // match the sequential engine's at this decision,
-                    // so due legs join first.
-                    self.resolve_due_legs(hc)?;
-                    self.drain_ready_wakes(pending, wakes)?;
+                    // the globally earliest clock now).
                     let now = self.hosts[hc].clock().now();
                     if pending[hc]
                         .peek()
@@ -1592,13 +1436,9 @@ impl Machine {
         // Polled every scheduling-loop iteration: a running total
         // maintained at each `Core::run` call site, instead of
         // re-summing every core in the fleet per poll.
-        // While a core is out on a leg a zero-counter spare holds its
-        // fleet slot; `par_counter_offset` carries the detached core's
-        // pre-dispatch count so the invariant stays exact. (The leg's
-        // own retirements are accounted at join.)
         debug_assert_eq!(
             self.retired,
-            self.par_counter_offset
+            self.retired_emu_insts
                 + self
                     .hosts
                     .iter()
@@ -1612,9 +1452,6 @@ impl Machine {
     }
 
     fn finish(&mut self, hc: usize, pid: u64, code: u64) -> Result<Outcome, RunError> {
-        // The outcome snapshots fleet-wide stats; in the sequential
-        // engine every dispatched leg has completed by any exit point.
-        self.join_all_legs()?;
         let task = self.kernel.task_mut(pid)?;
         task.state = flick_os::TaskState::Zombie;
         task.exit_code = code;
@@ -1631,9 +1468,8 @@ impl Machine {
     /// counters (NxPs folded under the `nxp_` name space), emulated
     /// instruction totals, health gauges, and the observability bag.
     /// Shared by the per-process [`Outcome`] and the end-of-run
-    /// [`ServingReport`] — serving takes it exactly once, because the
-    /// per-exit clone would serialize the pipelined engine under
-    /// thousands of request completions.
+    /// [`ServingReport`] — serving takes it exactly once, instead of
+    /// cloning the stats at each of thousands of request completions.
     fn fleet_stats(&mut self) -> Stats {
         let mut stats = self.stats.clone();
         for host in &self.hosts {
@@ -1751,9 +1587,8 @@ impl Machine {
     /// task, and hand the tenant to its next deferred request (which
     /// becomes ready *now* — its queueing delay stays charged to its
     /// open-loop latency). Deliberately does none of [`Machine::finish`]'s
-    /// fleet-wide work: no leg barrier, no stats clone — a saturated
-    /// run retires thousands of requests and takes its one snapshot at
-    /// the end.
+    /// fleet-wide work: no stats clone — a saturated run retires
+    /// thousands of requests and takes its one snapshot at the end.
     fn finish_serving(
         &mut self,
         hc: usize,
@@ -1980,12 +1815,6 @@ impl Machine {
                         all_of_isa
                     }
                 };
-                // Least-loaded placement compares every NxP clock; a
-                // detached core's slot holds a zero-clock spare, so
-                // every leg must land before the comparison reads.
-                if matches!(self.placement, NxpPlacement::LeastLoaded) {
-                    self.join_all_legs()?;
-                }
                 let nc = match self.placement {
                     NxpPlacement::RoundRobin => {
                         let k = pool[self.rr_next % pool.len()];
@@ -2002,13 +1831,6 @@ impl Machine {
                 nc
             }
         };
-        // At most one leg in flight per channel, ever: the previous
-        // leg on this channel (possibly another thread's) must land
-        // before this one touches the channel's sequence spaces,
-        // rings, or NxP clock. Per-channel join order therefore equals
-        // dispatch order, which is what keeps sequence assignment
-        // identical to the sequential engine.
-        self.join_leg(nc)?;
         let seq = self.chans[nc].h2n;
         self.chans[nc].h2n += 1;
         // The span id is assigned unconditionally — it lives in the
@@ -2255,17 +2077,12 @@ impl Machine {
         // Accepted: run the NxP leg until it sends a descriptor back,
         // then arm the watchdog from the *expected* wake time so a lost
         // wake-up interrupt is always noticed.
-        match self.dispatch_leg(hc, nc, pid, in_bytes, in_desc)? {
-            Some(wake) => {
-                let base = wake.msi_at.unwrap_or_else(|| {
-                    self.nxps[nc].clock().now().max(self.hosts[hc].clock().now())
-                });
-                self.kernel.task_mut(pid)?.deadline =
-                    Some(base + timing.retry.migration_watchdog);
-                Ok(EcallFlow::Suspended(wake))
-            }
-            None => Ok(EcallFlow::Dispatched),
-        }
+        let wake = self.nxp_leg(nc, pid, in_bytes, in_desc)?;
+        let base = wake
+            .msi_at
+            .unwrap_or_else(|| self.nxps[nc].clock().now().max(self.hosts[hc].clock().now()));
+        self.kernel.task_mut(pid)?.deadline = Some(base + timing.retry.migration_watchdog);
+        Ok(EcallFlow::Suspended(wake))
     }
 
     /// Scans for dead NxPs whose scheduled outage has ended (presence
@@ -2714,7 +2531,7 @@ impl Machine {
                     }
                 }
             };
-            return self.nxp_execute(hc, nc, pid, in_bytes, in_desc).map(Some);
+            return self.nxp_leg(nc, pid, in_bytes, in_desc).map(Some);
         }
     }
 
@@ -2899,8 +2716,8 @@ impl Machine {
         ctx.pc = va;
         // The guest ISA is whatever the faulting page is tagged with;
         // a cached emulator of another ISA retires (its instruction
-        // count folds into the offset so the `executed()` invariant
-        // holds) and a fresh core of the right ISA takes its slot.
+        // count folds into `retired_emu_insts` so the `executed()`
+        // invariant holds) and a fresh core of the right ISA takes its slot.
         let tag = flick_paging::walk(|a| self.mem.read_u64(a), host_cr3, va)
             .map(|t| t.isa_tag)
             .unwrap_or(0);
@@ -2910,7 +2727,7 @@ impl Machine {
             .is_some_and(|e| e.config().isa != guest)
         {
             let old = self.emus[hc].take().expect("emulator checked present");
-            self.par_counter_offset += old.counters().instructions;
+            self.retired_emu_insts += old.counters().instructions;
         }
         // The degraded-mode interpreter inherits the host's fast-path
         // setting so the differential tests cover it too.
@@ -3109,366 +2926,250 @@ impl Machine {
         }
     }
 
-    /// The NxP side after a descriptor is accepted, serialized:
-    /// dispatch the leg inline and join it immediately. Used by the
-    /// failover re-execution path, which only exists under device
-    /// fault plans — always serialized runs.
-    fn nxp_execute(
+    /// Runs one NxP leg in place, inside the host `ecall` that sent its
+    /// descriptor: the descriptor lands in the NxP buffer, the thread
+    /// context-switches in and runs interpreted until it emits a
+    /// descriptor toward the host (taking exec-fault redirects and
+    /// runtime services on the way), and the device half of the send —
+    /// sequence number, DMA kick, MSI — follows. Returns how the
+    /// suspended host thread will be woken.
+    fn nxp_leg(
         &mut self,
-        hc: usize,
         nc: usize,
         pid: u64,
         in_bytes: Vec<u8>,
         desc: MigrationDescriptor,
     ) -> Result<PendingWake, RunError> {
-        self.dispatch_leg(hc, nc, pid, in_bytes, desc)?
-            .ok_or(RunError::Protocol {
-                side: Side::Nxp,
-                context: "failover leg dispatched asynchronously",
-            })
-    }
-
-    /// True when host core `hc` has dispatched a leg that is still in
-    /// flight — it must stay schedulable to eventually join it.
-    fn has_inflight_for(&self, hc: usize) -> bool {
-        self.in_flight.values().any(|l| l.hc == hc)
-    }
-
-    /// Joins every in-flight leg dispatched by `hc` whose *published*
-    /// NxP clock is at or behind `hc`'s host clock. Such a leg's wake
-    /// would already sit in the sequential engine's pending heap, so
-    /// deferring its join any further could change a scheduling
-    /// decision. The published clock only lags the leg's true clock
-    /// (both are monotone), so a snapshot past `now` proves the wake
-    /// is not yet due; a stale snapshot merely joins early — blocking
-    /// until the leg lands — which never changes any observable.
-    fn resolve_due_legs(&mut self, hc: usize) -> Result<(), RunError> {
-        if self.in_flight.is_empty() {
-            return Ok(());
-        }
-        let now = self.hosts[hc].clock().now();
-        let mut due: Vec<usize> = self
-            .in_flight
-            .iter()
-            .filter(|(_, l)| {
-                l.hc == hc
-                    && Picos(l.clock_pub.load(std::sync::atomic::Ordering::Relaxed)) <= now
-            })
-            .map(|(&c, _)| c)
-            .collect();
-        due.sort_unstable();
-        for c in due {
-            self.join_leg(c)?;
-        }
-        Ok(())
-    }
-
-    /// Joins every in-flight leg dispatched by `hc`, due or not — the
-    /// idle path's conservative barrier before fast-forwarding.
-    fn join_core_legs(&mut self, hc: usize) -> Result<(), RunError> {
-        let mut chans: Vec<usize> = self
-            .in_flight
-            .iter()
-            .filter(|(_, l)| l.hc == hc)
-            .map(|(&c, _)| c)
-            .collect();
-        chans.sort_unstable();
-        for c in chans {
-            self.join_leg(c)?;
-        }
-        Ok(())
-    }
-
-    /// Joins every in-flight leg in the machine.
-    fn join_all_legs(&mut self) -> Result<(), RunError> {
-        let mut chans: Vec<usize> = self.in_flight.keys().copied().collect();
-        chans.sort_unstable();
-        for c in chans {
-            self.join_leg(c)?;
-        }
-        Ok(())
-    }
-
-    /// Moves wakes produced by joins into the scheduler's pending
-    /// heaps, with exactly the due computation of the sequential
-    /// engine's suspend path.
-    fn drain_ready_wakes(
-        &mut self,
-        pending: &mut [BinaryHeap<Reverse<(Picos, u64)>>],
-        wakes: &mut HashMap<u64, PendingWake>,
-    ) -> Result<(), RunError> {
-        if self.ready_wakes.is_empty() {
-            return Ok(());
-        }
-        for (hc, pid, wake) in std::mem::take(&mut self.ready_wakes) {
-            let due = match wake.msi_at {
-                Some(at) => at,
-                None => self
-                    .kernel
-                    .task(pid)?
-                    .deadline
-                    .unwrap_or_else(|| self.hosts[hc].clock().now()),
-            };
-            pending[hc].push(Reverse((due, pid)));
-            wakes.insert(pid, wake);
-        }
-        Ok(())
-    }
-
-    /// Dispatches one NxP leg. Serialized mode (the default, and every
-    /// chaos/failover/bounded-fuel run) executes it inline over the
-    /// whole machine memory and returns its wake — byte-identical to
-    /// the historical inline `nxp_execute`. Pipelined mode ships the
-    /// leg (core + the process's frames, moved; shared pages, copied)
-    /// to a worker thread and returns `None`; the wake surfaces via
-    /// `ready_wakes` when the leg joins.
-    fn dispatch_leg(
-        &mut self,
-        hc: usize,
-        nc: usize,
-        pid: u64,
-        in_bytes: Vec<u8>,
-        desc: MigrationDescriptor,
-    ) -> Result<Option<PendingWake>, RunError> {
-        debug_assert!(
-            !self.in_flight.contains_key(&nc),
-            "channel must be quiescent before dispatch"
-        );
-        let pipelined = self.pipelined;
-        let leg_id = self.next_leg_id;
-        self.next_leg_id += 1;
-
-        // Detach the NxP core, leaving a never-run spare in its slot.
-        let spare = self.spares[nc]
-            .take()
-            .unwrap_or_else(|| Core::new(self.nxps[nc].config().clone()));
-        let core = std::mem::replace(&mut self.nxps[nc], spare);
-        let pre_insts = core.counters().instructions;
-        self.par_counter_offset += pre_insts;
-
-        let thread = self.nxp_rt.take_thread(pid);
-        let task = self.kernel.task(pid)?;
-        let nxp_stack_ptr = task.nxp_stack_ptr.as_u64();
-        let nxp_brk = task.nxp_brk;
-        let frame_ranges = task.frame_ranges.clone();
-        // The leg runs on this slot's ISA: hand it that ISA's
-        // migration handler pair. A program without functions of the
-        // slot's ISA has no such handlers — any exec fault on the leg
-        // then fails loudly instead of jumping through a wrong-ISA
-        // handler.
+        let nt = &self.nxp_timing;
+        let nxp_stack_ptr = self.kernel.task(pid)?.nxp_stack_ptr.as_u64();
+        // The leg runs on this slot's ISA: take that ISA's migration
+        // handler pair. A program without functions of the slot's ISA
+        // has no such handlers — any exec fault on the leg then fails
+        // loudly instead of jumping through a wrong-ISA handler.
         let handlers = self
             .vas
             .get(&pid)
-            .and_then(|v| v.accel_handlers(self.nxp_isas[nc]))
-            .map(|(entry, lp)| (lp, entry));
+            .and_then(|v| v.accel_handlers(self.nxp_isas[nc]));
         let span = self.span_of.get(&pid).copied().unwrap_or(0);
         let desc_phys = self.nxp_desc_phys();
-        let init_gen = self.mem.text_gen();
+        let on = CoreId::nxp(nc);
+        let core = &mut self.nxps[nc];
+        let thread = self.nxp_rt.thread_mut(pid);
 
-        let (mem, chunk_fuel) = if pipelined {
-            let mut leg_mem = PhysMem::new();
-            leg_mem.force_text_gen(init_gen);
-            // The process's own frames (text, data, heap, page tables,
-            // descriptor page) move with the leg.
-            for &(start, len) in &frame_ranges {
-                let frames = self.mem.take_range(start, len);
-                leg_mem.adopt_frames(frames);
+        // Land the descriptor in the NxP-local buffer the handler reads.
+        self.mem.write_bytes(desc_phys, &in_bytes);
+
+        // Context switch the thread in.
+        core.clock_mut().advance(nt.context_switch);
+        self.trace.record_on(
+            on,
+            core.clock().now(),
+            Event::NxpContextSwitch { switch_in: true },
+        );
+        if core.cr3() != PhysAddr(desc.cr3) {
+            core.set_cr3(PhysAddr(desc.cr3));
+        }
+        let leg_isa = core.config().isa;
+        if desc.kind == DescKind::HostToNxpCall {
+            if let Some(ctx) = thread.idle[leg_isa.tag() as usize].take() {
+                // The thread is idle in this ISA's handler loop: resume
+                // it; the loop re-reads the descriptor page.
+                core.restore_context(&ctx);
+            } else {
+                // First call of this ISA: the host initialised the
+                // stack; the thread starts inside the handler's while()
+                // loop (§IV-B1). A nested call — outer accelerator
+                // frames parked elsewhere — continues below the
+                // innermost parked frame, so the per-thread stack slot
+                // nests naturally.
+                let (_, loop_va) = handlers.ok_or(RunError::Protocol {
+                    side: Side::Nxp,
+                    context: "descriptor for a process with no handler table",
+                })?;
+                let sp = thread
+                    .parks
+                    .last()
+                    .map(|c| c.regs[abi::SP.index()])
+                    .unwrap_or(desc.nxp_sp);
+                let mut ctx = CpuContext {
+                    pc: loop_va,
+                    ..CpuContext::default()
+                };
+                ctx.regs[abi::SP.index()] = sp;
+                ctx.regs[abi::S0.index()] = layout::NXP_DESC_VA;
+                core.restore_context(&ctx);
             }
-            // The thread's SRAM stack slot is private: moved.
-            if (layout::NXP_STACK_VA..layout::NXP_STACK_VA + layout::NXP_STACK_SIZE)
-                .contains(&nxp_stack_ptr)
-            {
-                let slot = (nxp_stack_ptr - layout::NXP_STACK_VA) / layout::NXP_STACK_SLOT;
-                let base = self.env.map.nxp_sram_host_base() + slot * layout::NXP_STACK_SLOT;
-                leg_mem.adopt_frames(self.mem.take_range(base, layout::NXP_STACK_SLOT));
-            }
-            // The SRAM descriptor buffer page is shared by every
-            // channel: copied (the leg overwrites it with its own
-            // inbound descriptor before any read).
-            leg_mem.adopt_frames(self.mem.clone_range(desc_phys, flick_mem::PAGE_SIZE));
-            // The resident NxP-DRAM window (cross-process globals):
-            // copied in, adopted back at join in deterministic join
-            // order.
-            let resident = nxp_brk.as_u64().saturating_sub(layout::NXP_WINDOW_VA);
-            if resident > 0 {
-                let bar0 = self.env.map.nxp_dram_host_base();
-                leg_mem.adopt_frames(self.mem.clone_range(bar0, resident));
-            }
-            // Small chunks keep the published clock fresh enough for
-            // the coordinator's due-join polling.
-            (leg_mem, 65_536)
         } else {
-            // Serialized: the leg owns the whole memory for its
-            // (exclusive) duration, one run call per segment.
-            (std::mem::replace(&mut self.mem, PhysMem::new()), u64::MAX / 2)
+            let ctx = thread.parks.pop().ok_or(RunError::Protocol {
+                side: Side::Nxp,
+                context: "return descriptor for a thread with no parked frame",
+            })?;
+            core.restore_context(&ctx);
+        }
+
+        // Run until the thread emits a descriptor toward the host.
+        let mut out = loop {
+            let before = core.counters().instructions;
+            let stop = core.run(&mut self.mem, &self.env, u64::MAX / 2);
+            self.retired += core.counters().instructions - before;
+            match stop {
+                StopReason::Ecall(s) if s == svc::NXP_MIGRATE_AND_SUSPEND => {
+                    let fault_va = thread.fault_va.take().ok_or(RunError::Protocol {
+                        side: Side::Nxp,
+                        context: "NxP migrate without a saved fault target",
+                    })?;
+                    self.stats.bump("migrations_nxp_to_host");
+                    break MigrationDescriptor {
+                        kind: DescKind::NxpToHostCall,
+                        target: fault_va.as_u64(),
+                        ret: 0,
+                        args: [
+                            core.reg(abi::A0),
+                            core.reg(abi::A1),
+                            core.reg(abi::A2),
+                            core.reg(abi::A3),
+                            core.reg(abi::A4),
+                            core.reg(abi::A5),
+                        ],
+                        pid,
+                        cr3: core.cr3().as_u64(),
+                        nxp_sp: nxp_stack_ptr,
+                        seq: 0, // assigned with the send below
+                        span,
+                    };
+                }
+                StopReason::Ecall(s) if s == svc::NXP_RETURN_AND_SWITCH => {
+                    self.stats.bump("returns_nxp_to_host");
+                    break MigrationDescriptor {
+                        kind: DescKind::NxpToHostReturn,
+                        target: 0,
+                        ret: self.mem.read_u64(PhysAddr(desc_phys.as_u64() + L::RET)),
+                        args: [0; 6],
+                        pid,
+                        cr3: core.cr3().as_u64(),
+                        nxp_sp: nxp_stack_ptr,
+                        seq: 0, // assigned with the send below
+                        span,
+                    };
+                }
+                StopReason::Ecall(s) if s == svc::ALLOC_NXP => {
+                    let base = self
+                        .kernel
+                        .alloc_nxp_heap(pid, core.reg(abi::A0))
+                        .map_err(RunError::Load)?;
+                    core.set_reg(abi::A0, base.as_u64());
+                }
+                StopReason::Ecall(s) if s == svc::CLOCK_NS => {
+                    let ns = core.clock().now().as_nanos();
+                    core.set_reg(abi::A0, ns);
+                }
+                StopReason::Fault(Exception::InstFault { va, kind })
+                    if matches!(
+                        kind,
+                        InstFaultKind::IsaMismatch
+                            | InstFaultKind::Misaligned
+                            | InstFaultKind::NxViolation
+                    ) =>
+                {
+                    // The NxP called a function it cannot execute —
+                    // host text (`IsaMismatch`), or another
+                    // accelerator's text (`NxViolation`: NX set but a
+                    // foreign ISA tag). Either way control escalates
+                    // through the NxP migration handler (§IV-B2); for a
+                    // cross-accelerator call the host then re-faults at
+                    // the same target and re-places it on an NxP of the
+                    // right ISA.
+                    self.stats.bump("nxp_exec_faults");
+                    let event = match kind {
+                        InstFaultKind::Misaligned => Event::MisalignedFetch {
+                            fault_va: va.as_u64(),
+                        },
+                        _ => Event::NxFault {
+                            side: Side::Nxp,
+                            fault_va: va.as_u64(),
+                        },
+                    };
+                    self.trace.record_on(on, core.clock().now(), event);
+                    core.clock_mut().advance(nt.exception_entry);
+                    thread.fault_va = Some(va);
+                    let (handler, _) = handlers.ok_or(RunError::Protocol {
+                        side: Side::Nxp,
+                        context: "exec fault in a process with no handler table",
+                    })?;
+                    core.set_pc(handler);
+                }
+                StopReason::Ecall(service) => {
+                    return Err(RunError::UnknownService {
+                        side: Side::Nxp,
+                        service,
+                    })
+                }
+                StopReason::Fault(exception) => {
+                    return Err(RunError::Crash {
+                        side: Side::Nxp,
+                        exception,
+                    })
+                }
+                StopReason::Halt => {
+                    return Err(RunError::Crash {
+                        side: Side::Nxp,
+                        exception: Exception::InstFault {
+                            va: core.pc(),
+                            kind: InstFaultKind::Illegal,
+                        },
+                    })
+                }
+                StopReason::OutOfFuel => return Err(RunError::FuelExhausted),
+            }
         };
 
-        let clock_pub = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(
-            core.clock().now().as_picos(),
-        ));
-        let job = leg::LegJob {
-            leg_id,
-            nc,
-            pid,
-            core,
-            mem,
-            env: self.env.clone(),
-            timing: self.nxp_timing.clone(),
-            in_bytes,
-            desc,
-            thread,
-            handlers,
-            nxp_stack_ptr,
-            span,
-            nxp_brk,
-            desc_phys,
-            chunk_fuel,
-            clock_pub: clock_pub.clone(),
-            panic_inject: std::mem::take(&mut self.kill_next_leg),
-        };
-        self.in_flight.insert(
-            nc,
-            InFlightLeg {
-                leg_id,
-                hc,
-                pid,
-                pre_insts,
-                init_gen,
-                trace_pos: self.trace.len(),
-                whole_mem: !pipelined,
-                clock_pub,
+        // Device half of the send: save the thread, switch to the
+        // scheduler, stamp and kick the outbound descriptor.
+        core.clock_mut().advance(nt.desc_build);
+        let ctx = core.save_context();
+        match out.kind {
+            // Escalated a call to the host: the frame parks
+            // mid-function, awaiting its return descriptor.
+            DescKind::NxpToHostCall => thread.parks.push(ctx),
+            // Completed: the thread settles back into this ISA's
+            // handler loop, ready for the next call descriptor.
+            _ => thread.idle[leg_isa.tag() as usize] = Some(ctx),
+        }
+        core.clock_mut().advance(nt.context_switch);
+        let now = core.clock().now();
+        self.trace
+            .record_on(on, now, Event::NxpContextSwitch { switch_in: false });
+        out.seq = self.chans[nc].n2h;
+        self.chans[nc].n2h += 1;
+        let bytes = out.to_bytes();
+        self.trace.record_on(
+            on,
+            now,
+            Event::DescriptorSent {
+                from: Side::Nxp,
+                kind: out.kind.label(),
+                bytes: bytes.len(),
             },
         );
-        if pipelined {
-            self.par
-                .as_ref()
-                .ok_or(RunError::Protocol {
-                    side: Side::Host,
-                    context: "pipelined run without a worker engine",
-                })?
-                .submit(nc, job)?;
-            Ok(None)
-        } else {
-            let res = leg::leg_run(job);
-            self.parked.insert(leg_id, res);
-            self.join_leg(nc)?;
-            let (_, wpid, wake) = self.ready_wakes.pop().ok_or(RunError::Protocol {
-                side: Side::Nxp,
-                context: "serialized leg joined without producing a wake",
-            })?;
-            debug_assert_eq!(wpid, pid);
-            Ok(Some(wake))
-        }
-    }
-
-    /// Joins the in-flight leg on channel `nc` (no-op when there is
-    /// none): re-attaches the core, memory, and thread state, splices
-    /// the leg's trace events at its dispatch position, and performs
-    /// the coordinator half of the send — sequence assignment, DMA
-    /// kick, MSI — exactly as the sequential engine's `nxp_send` did.
-    fn join_leg(&mut self, nc: usize) -> Result<(), RunError> {
-        let Some(inf) = self.in_flight.remove(&nc) else {
-            return Ok(());
-        };
-        let res = loop {
-            if let Some(r) = self.parked.remove(&inf.leg_id) {
-                break r;
-            }
-            let r = self
-                .par
-                .as_ref()
-                .ok_or(RunError::Protocol {
-                    side: Side::Nxp,
-                    context: "in-flight leg with no worker engine",
-                })?
-                .recv()?;
-            if r.leg_id == inf.leg_id {
-                break r;
-            }
-            self.parked.insert(r.leg_id, r);
-        };
-        debug_assert_eq!(res.nc, nc);
-        debug_assert_eq!(res.pid, inf.pid);
-        let pid = res.pid;
-
-        // Re-attach the core; its spare never ran, so counters are
-        // exact with the dispatch-time offset removed.
-        let spare = std::mem::replace(&mut self.nxps[nc], res.core);
-        self.spares[nc] = Some(spare);
-        self.par_counter_offset -= inf.pre_insts;
-        self.retired += res.retired;
-
-        // Re-attach memory. Sharded mode moves the frames back and
-        // replays the leg's text-generation delta onto the global
-        // counter, so decoded-code caches shared with other cores
-        // invalidate exactly as if the writes had happened in place.
-        if inf.whole_mem {
-            self.mem = res.mem;
-        } else {
-            let leg_gen = res.mem.text_gen();
-            let gen = self.mem.text_gen() + (leg_gen - inf.init_gen);
-            self.mem.adopt_frames(res.mem.into_frames());
-            self.mem.force_text_gen(gen);
-        }
-
-        self.nxp_rt.put_thread(pid, res.thread);
-        self.kernel.task_mut(pid)?.nxp_brk = res.nxp_brk;
-        if res.migrations_nxp_to_host > 0 {
-            self.stats
-                .bump_by("migrations_nxp_to_host", res.migrations_nxp_to_host);
-        }
-        if res.returns_nxp_to_host > 0 {
-            self.stats
-                .bump_by("returns_nxp_to_host", res.returns_nxp_to_host);
-        }
-        if res.nxp_exec_faults > 0 {
-            self.stats.bump_by("nxp_exec_faults", res.nxp_exec_faults);
-        }
-
-        // Splice the leg's events where they belong: the trace length
-        // at its dispatch. Later-dispatched in-flight legs splice
-        // after these events, so their positions shift.
-        let inserted = self.trace.splice_at(inf.trace_pos, res.events);
-        if inserted > 0 {
-            for other in self.in_flight.values_mut() {
-                if (other.trace_pos, other.leg_id) > (inf.trace_pos, inf.leg_id) {
-                    other.trace_pos += inserted;
-                }
-            }
-        }
-
-        let mut desc = res.outcome?;
         // A final return means the thread has left this NxP: pop its
         // innermost continuation. (An escalated call keeps the frame
         // parked here — the entry stays until that frame returns.)
-        if desc.kind == DescKind::NxpToHostReturn {
+        if out.kind == DescKind::NxpToHostReturn {
             if let Some(stack) = self.nxp_of.get_mut(&pid) {
                 stack.pop();
             }
         }
-        // Coordinator half of the send (shared channel state).
-        desc.seq = self.chans[nc].n2h;
-        self.chans[nc].n2h += 1;
-        let bytes = desc.to_bytes();
-        if let Some(at) = res.submit_at {
-            self.obs
-                .mark(desc.span, SpanStage::NxpSubmit, at, CoreId::nxp(nc));
-        }
+        self.obs.mark(out.span, SpanStage::NxpSubmit, now, on);
         self.retained_n2h.insert(pid, (nc, bytes.clone()));
-        let now = self.nxps[nc].clock().now();
         // A crashed or unplugged device cannot DMA its reply out — the
         // burst and its MSI die on the card. (A *hung* one still can:
         // the link is up, only the inbound poll loop stopped.) The
         // host-side watchdog notices the silence and fails over.
-        let wake = if matches!(
+        let msi_at = if matches!(
             self.plan.device_state(nc, now),
             Some(DeviceFaultKind::Crash | DeviceFaultKind::Unplug)
         ) {
-            PendingWake {
-                msi_at: None,
-                chan: nc,
-                incarnation: self.chans[nc].incarnation,
-            }
+            None
         } else {
             let (_arrival, maybe_msi, pert) =
                 self.fabric
@@ -3478,27 +3179,14 @@ impl Machine {
                 self.obs_stats
                     .record_hist(&format!("qdepth:n2h:nxp{nc}"), depth);
             }
-            self.note_burst_faults(CoreId::nxp(nc), Side::Host, now, &pert);
-            let msi_at = maybe_msi.and_then(|msi| self.raise_msi(CoreId::nxp(nc), msi, now));
-            PendingWake {
-                msi_at,
-                chan: nc,
-                incarnation: self.chans[nc].incarnation,
-            }
+            self.note_burst_faults(on, Side::Host, now, &pert);
+            maybe_msi.and_then(|msi| self.raise_msi(on, msi, now))
         };
-        // In pipelined mode the dispatching ecall has long returned;
-        // arm the watchdog here. Under an inert plan `msi_at` is
-        // always `Some`, so the base — and therefore the deadline —
-        // matches the sequential engine's to the picosecond.
-        if !inf.whole_mem {
-            let watchdog = self.kernel.timing().retry.migration_watchdog;
-            let base = wake
-                .msi_at
-                .unwrap_or_else(|| now.max(self.hosts[inf.hc].clock().now()));
-            self.kernel.task_mut(pid)?.deadline = Some(base + watchdog);
-        }
-        self.ready_wakes.push((inf.hc, pid, wake));
-        Ok(())
+        Ok(PendingWake {
+            msi_at,
+            chan: nc,
+            incarnation: self.chans[nc].incarnation,
+        })
     }
 
     /// Physical address of the NxP-side descriptor buffer (the SRAM
@@ -3805,26 +3493,6 @@ mod tests {
     /// A process that calls an NxP spin function `calls` times; each
     /// call keeps the NxP busy for a while, leaving the host core idle
     /// in single-process mode.
-    #[test]
-    fn dead_leg_worker_surfaces_as_error() {
-        // A worker thread panicking mid-leg must degrade to a typed
-        // RunError::WorkerDied, not abort the process.
-        let mut m = Machine::builder()
-            .topology(Topology::new(1, 1))
-            .threads(2)
-            .build();
-        let mut p = migration_loop_program(4, 1_000, 0);
-        let pid = m.load_program(&mut p).unwrap();
-        m.kill_next_leg = true;
-        let err = m.run_concurrent(&[pid], u64::MAX / 2).unwrap_err();
-        assert!(
-            matches!(err, RunError::WorkerDied { worker: 0 }),
-            "expected WorkerDied, got {err:?}"
-        );
-        // The display form names the worker for operator logs.
-        assert!(err.to_string().contains("leg worker thread 0 died"));
-    }
-
     fn migration_loop_program(calls: i64, spin: i64, tag: i64) -> ProgramBuilder {
         let mut p = ProgramBuilder::new("loop");
         let mut main = FuncBuilder::new("main", TargetIsa::Host);

@@ -123,21 +123,6 @@ impl NxpRuntime {
             .is_some_and(|t| !t.parks.is_empty() || t.idle.iter().any(Option::is_some))
     }
 
-    /// Detaches `pid`'s thread state (created fresh on first touch) so
-    /// a migration leg can carry it to a worker thread; paired with
-    /// [`NxpRuntime::put_thread`] at join time. While detached the
-    /// thread is invisible to the runtime — exactly mirroring the
-    /// hardware, where a thread's context lives on whichever side is
-    /// executing it.
-    pub fn take_thread(&mut self, pid: u64) -> NxpThread {
-        self.threads.remove(&pid).unwrap_or_else(NxpThread::fresh)
-    }
-
-    /// Re-attaches thread state detached by [`NxpRuntime::take_thread`].
-    pub fn put_thread(&mut self, pid: u64, thread: NxpThread) {
-        self.threads.insert(pid, thread);
-    }
-
     /// Number of threads the scheduler has seen.
     pub fn thread_count(&self) -> usize {
         self.threads.len()

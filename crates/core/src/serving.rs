@@ -16,7 +16,7 @@
 //! deterministic event loop does the rest — arrivals are just one more
 //! source of schedulable work, delivered when the simulated clock of
 //! the owning host core reaches the arrival instant, so a whole
-//! open-loop run replays bit-identically for any worker-thread count.
+//! open-loop run replays bit-identically from run to run.
 
 use flick_sim::{Picos, Stats};
 use std::cmp::Reverse;

@@ -13,12 +13,14 @@ use std::fmt;
 /// Core counts for a [`crate::Machine`]: `host_cores` symmetric host
 /// cores and `nxp_cores` NxP cores, each NxP behind its own PCIe
 /// descriptor channel.
+///
+/// The fields are private so every topology goes through
+/// [`Topology::new`]'s check: a machine with no host core or no NxP
+/// cannot be built.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Topology {
-    /// Number of host cores (≥ 1).
-    pub host_cores: usize,
-    /// Number of NxP cores / descriptor channels (≥ 1).
-    pub nxp_cores: usize,
+    host_cores: usize,
+    nxp_cores: usize,
 }
 
 impl Topology {
@@ -39,6 +41,16 @@ impl Topology {
     /// The classic 1×1 pair the paper measures; the default.
     pub fn single() -> Self {
         Topology::new(1, 1)
+    }
+
+    /// Number of host cores (≥ 1).
+    pub fn host_cores(&self) -> usize {
+        self.host_cores
+    }
+
+    /// Number of NxP cores / descriptor channels (≥ 1).
+    pub fn nxp_cores(&self) -> usize {
+        self.nxp_cores
     }
 }
 
@@ -88,6 +100,18 @@ mod tests {
         assert_eq!(Topology::new(2, 4).to_string(), "2x4");
         assert_eq!(NxpPlacement::default(), NxpPlacement::RoundRobin);
         assert_eq!(NxpPlacement::LeastLoaded.to_string(), "least-loaded");
+    }
+
+    #[test]
+    fn getters_read_back_the_counts() {
+        let t = Topology::new(3, 5);
+        assert_eq!((t.host_cores(), t.nxp_cores()), (3, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one host core")]
+    fn zero_hosts_rejected() {
+        let _ = Topology::new(0, 1);
     }
 
     #[test]

@@ -10,12 +10,7 @@ use std::collections::HashMap;
 /// store's [text generation](PhysMem::text_gen) so the derived state can
 /// be discarded. The flag costs nothing on the write path — the frame is
 /// already in hand when the bytes land.
-///
-/// The type is public but opaque: frames only leave a [`PhysMem`]
-/// through [`PhysMem::take_range`] / [`PhysMem::clone_range`] and come
-/// back through [`PhysMem::adopt_frames`], so the watched flag travels
-/// with the bytes and callers cannot forge either.
-pub struct Frame {
+struct Frame {
     data: Box<[u8; PAGE_SIZE as usize]>,
     watched: bool,
 }
@@ -25,15 +20,6 @@ impl Frame {
         Frame {
             data: Box::new([0u8; PAGE_SIZE as usize]),
             watched: false,
-        }
-    }
-}
-
-impl Clone for Frame {
-    fn clone(&self) -> Self {
-        Frame {
-            data: self.data.clone(),
-            watched: self.watched,
         }
     }
 }
@@ -125,76 +111,6 @@ impl PhysMem {
     #[inline]
     pub fn text_gen(&self) -> u64 {
         self.text_gen
-    }
-
-    /// Overwrites the text generation. Used by the parallel migration
-    /// engine: a detached leg store starts from the global generation
-    /// and the coordinator folds the leg's delta back at join time, so
-    /// decode caches see exactly the generation history the sequential
-    /// interleaving would have produced.
-    pub fn force_text_gen(&mut self, gen: u64) {
-        self.text_gen = gen;
-    }
-
-    /// Removes and returns every *resident* frame overlapping
-    /// `[start, start + len)`, keyed by frame number. Unmaterialized
-    /// frames in the range are simply absent from the result — a store
-    /// that later [adopts](Self::adopt_frames) the result reproduces the
-    /// same read-as-zero behaviour for them. Watched flags travel with
-    /// the frames; the text generation is *not* bumped (no bytes
-    /// change).
-    pub fn take_range(&mut self, start: PhysAddr, len: u64) -> Vec<(u64, Frame)> {
-        let mut out = Vec::new();
-        if len == 0 {
-            return out;
-        }
-        let first = start.as_u64() >> PAGE_SHIFT;
-        let last = (start.as_u64() + len - 1) >> PAGE_SHIFT;
-        for fno in first..=last {
-            if let Some(fr) = self.frames.remove(&fno) {
-                out.push((fno, fr));
-            }
-        }
-        out
-    }
-
-    /// Clones every resident frame overlapping `[start, start + len)`.
-    /// Used for ranges a leg must *see* but that stay resident in the
-    /// global store (the shared NxP SRAM descriptor page, the resident
-    /// device-window span); the leg's copies overwrite the originals at
-    /// join time in deterministic join order.
-    pub fn clone_range(&self, start: PhysAddr, len: u64) -> Vec<(u64, Frame)> {
-        let mut out = Vec::new();
-        if len == 0 {
-            return out;
-        }
-        let first = start.as_u64() >> PAGE_SHIFT;
-        let last = (start.as_u64() + len - 1) >> PAGE_SHIFT;
-        for fno in first..=last {
-            if let Some(fr) = self.frames.get(&fno) {
-                out.push((fno, fr.clone()));
-            }
-        }
-        out
-    }
-
-    /// Inserts frames produced by [`take_range`](Self::take_range) /
-    /// [`clone_range`](Self::clone_range), overwriting any resident
-    /// frame with the same number. Watched flags come from the adopted
-    /// frames; the text generation is *not* bumped — writes that
-    /// happened while the frames were detached already bumped the leg
-    /// store's generation, and the coordinator folds that delta in via
-    /// [`force_text_gen`](Self::force_text_gen).
-    pub fn adopt_frames(&mut self, frames: Vec<(u64, Frame)>) {
-        for (fno, fr) in frames {
-            self.frames.insert(fno, fr);
-        }
-    }
-
-    /// Consumes the store and returns every resident frame. The final
-    /// step of joining a detached leg store back into the global one.
-    pub fn into_frames(self) -> Vec<(u64, Frame)> {
-        self.frames.into_iter().collect()
     }
 
     /// Reads `buf.len()` bytes starting at `addr`, crossing frames as
@@ -374,43 +290,6 @@ mod tests {
         assert_eq!(mem.read_u64(PhysAddr(0x9000)), 0);
         mem.fill(PhysAddr(0x9000), 16, 0xEE);
         assert!(mem.text_gen() > g1);
-    }
-
-    #[test]
-    fn take_adopt_round_trip_preserves_bytes_watched_and_gen() {
-        let mut mem = PhysMem::new();
-        mem.write_u64(PhysAddr(0x1000), 0xAA);
-        mem.write_u64(PhysAddr(0x3000), 0xBB);
-        mem.watch_text(PhysAddr(0x1000));
-        let g0 = mem.text_gen();
-
-        // Detach the 0x1000 frame into a leg-private store.
-        let taken = mem.take_range(PhysAddr(0x1000), PAGE_SIZE);
-        assert_eq!(taken.len(), 1);
-        assert_eq!(mem.read_u64(PhysAddr(0x1000)), 0, "taken frame reads as zero");
-        assert_eq!(mem.text_gen(), g0, "take does not bump the generation");
-
-        let mut leg = PhysMem::new();
-        leg.force_text_gen(g0);
-        leg.adopt_frames(taken);
-        assert_eq!(leg.read_u64(PhysAddr(0x1000)), 0xAA);
-        assert!(leg.watched(PhysAddr(0x1000)), "watched flag travels");
-        leg.write_u64(PhysAddr(0x1000), 0xCC); // watched write bumps leg gen
-        assert!(leg.text_gen() > g0);
-        let leg_gen = leg.text_gen();
-
-        // Join: fold the delta, move the frames back.
-        mem.force_text_gen(g0 + (leg_gen - g0));
-        mem.adopt_frames(leg.into_frames());
-        assert_eq!(mem.read_u64(PhysAddr(0x1000)), 0xCC);
-        assert_eq!(mem.read_u64(PhysAddr(0x3000)), 0xBB);
-        assert!(mem.watched(PhysAddr(0x1000)));
-        assert_eq!(mem.text_gen(), leg_gen);
-
-        // clone_range leaves the original resident.
-        let copies = mem.clone_range(PhysAddr(0x3000), 8);
-        assert_eq!(copies.len(), 1);
-        assert_eq!(mem.read_u64(PhysAddr(0x3000)), 0xBB);
     }
 
     #[test]

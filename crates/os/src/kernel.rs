@@ -265,12 +265,6 @@ impl Kernel {
         mem: &mut PhysMem,
         image: &MultiIsaImage,
     ) -> Result<u64, LoadError> {
-        // Watermarks taken before any allocation: every frame the two
-        // bump allocators hand out below belongs to the new process, so
-        // the deltas are exactly its frame ranges (see
-        // `TaskStruct::frame_ranges`).
-        let pt_mark = self.pt_frames.watermark();
-        let user_mark = self.user_frames.watermark();
         let mut aspace = AddressSpace::new(mem, &mut self.pt_frames);
 
         // 1. NxP DRAM window: four 1 GiB pages by default (the §V
@@ -392,8 +386,6 @@ impl Kernel {
         } else {
             nxp_brk
         };
-        task.record_frames(pt_mark, self.pt_frames.watermark());
-        task.record_frames(user_mark, self.user_frames.watermark());
         self.tasks.push(task);
         Ok(pid)
     }
@@ -506,8 +498,6 @@ impl Kernel {
     ) -> Result<VirtAddr, LoadError> {
         let cr3 = self.task(pid)?.cr3;
         let brk = self.task(pid)?.host_brk;
-        let pt_mark = self.pt_frames.watermark();
-        let user_mark = self.user_frames.watermark();
         let base = VirtAddr((brk.as_u64() + 15) & !15);
         let new_brk = VirtAddr(base.as_u64() + size);
         // Map any pages in [page(old mapped end), page_end(new_brk)).
@@ -527,12 +517,7 @@ impl Kernel {
             )?;
             page += PAGE_SIZE;
         }
-        let pt_now = self.pt_frames.watermark();
-        let user_now = self.user_frames.watermark();
-        let task = self.task_mut(pid)?;
-        task.host_brk = new_brk;
-        task.record_frames(pt_mark, pt_now);
-        task.record_frames(user_mark, user_now);
+        self.task_mut(pid)?.host_brk = new_brk;
         Ok(base)
     }
 
@@ -546,8 +531,12 @@ impl Kernel {
     /// leave the window — reachable from the guest's `nxp_malloc`.
     pub fn alloc_nxp_heap(&mut self, pid: u64, size: u64) -> Result<VirtAddr, LoadError> {
         let task = self.task_mut(pid)?;
-        let (base, new_brk) = nxp_heap_bump(task.nxp_brk, size)?;
-        task.nxp_brk = new_brk;
+        let base = VirtAddr((task.nxp_brk.as_u64() + 15) & !15);
+        let end = match base.as_u64().checked_add(size) {
+            Some(e) if e <= layout::NXP_WINDOW_VA + layout::NXP_WINDOW_SIZE => e,
+            _ => return Err(LoadError::NxpDramExhausted),
+        };
+        task.nxp_brk = VirtAddr(end);
         Ok(base)
     }
 
@@ -656,25 +645,6 @@ impl Kernel {
         task.deadline = None;
         Ok(true)
     }
-}
-
-/// The pure NxP-DRAM heap bump shared by [`Kernel::alloc_nxp_heap`] and
-/// the parallel migration engine's detached leg (which carries a
-/// process's `nxp_brk` cursor while the coordinator is out of reach):
-/// 16-byte aligns the cursor, checks the window bound, and returns
-/// `(block base, new cursor)`.
-///
-/// # Errors
-///
-/// [`LoadError::NxpDramExhausted`] when the bump would leave the
-/// window — reachable from the guest's `nxp_malloc`.
-pub fn nxp_heap_bump(brk: VirtAddr, size: u64) -> Result<(VirtAddr, VirtAddr), LoadError> {
-    let base = VirtAddr((brk.as_u64() + 15) & !15);
-    let end = match base.as_u64().checked_add(size) {
-        Some(e) if e <= layout::NXP_WINDOW_VA + layout::NXP_WINDOW_SIZE => e,
-        _ => return Err(LoadError::NxpDramExhausted),
-    };
-    Ok((base, VirtAddr(end)))
 }
 
 #[cfg(test)]

@@ -356,14 +356,6 @@ impl BumpFrameAlloc {
     pub fn remaining_frames(&self) -> u64 {
         (self.end - self.next) / PAGE_SIZE
     }
-
-    /// The next frame this allocator would hand out. Because allocation
-    /// is a pure bump, the frames a code path consumed are exactly
-    /// `[watermark-before, watermark-after)` — the OS model uses this
-    /// to attribute frame ranges to the process that allocated them.
-    pub fn watermark(&self) -> PhysAddr {
-        self.next
-    }
 }
 
 /// Errors from address-space manipulation.

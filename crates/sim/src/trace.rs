@@ -347,42 +347,6 @@ impl Trace {
         self.cores.push(core);
     }
 
-    /// Splices a batch of buffered records into the trace at `pos`
-    /// (clamped to the current length), preserving the batch's internal
-    /// order, and returns how many records were inserted.
-    ///
-    /// This is the parallel migration engine's merge primitive: a
-    /// detached leg buffers its records off-thread and the coordinator
-    /// splices them at the position the sequential interleaving would
-    /// have recorded them (captured at dispatch time), so the merged
-    /// trace is byte-identical to the sequential one regardless of when
-    /// the leg actually joined. If the splice pushes the trace past its
-    /// capacity, the newest records (by position) are dropped — the
-    /// same drop-newest policy as [`Trace::record`], applied to the
-    /// merged order.
-    pub fn splice_at(&mut self, pos: usize, batch: Vec<(Option<CoreId>, Picos, Event)>) -> usize {
-        if !self.config.enabled || batch.is_empty() {
-            return 0;
-        }
-        let pos = pos.min(self.events.len());
-        let n = batch.len();
-        let mut evs = Vec::with_capacity(n);
-        let mut tags = Vec::with_capacity(n);
-        for (core, at, event) in batch {
-            evs.push((at, event));
-            tags.push(core);
-        }
-        self.events.splice(pos..pos, evs);
-        self.cores.splice(pos..pos, tags);
-        if self.events.len() > self.config.capacity {
-            let excess = self.events.len() - self.config.capacity;
-            self.events.truncate(self.config.capacity);
-            self.cores.truncate(self.config.capacity);
-            self.dropped += excess as u64;
-        }
-        n
-    }
-
     /// All recorded events in order.
     pub fn events(&self) -> &[(Picos, Event)] {
         &self.events
@@ -569,42 +533,6 @@ mod tests {
         assert_eq!(t.dropped(), 1);
         assert_eq!(t.core_tags(), &[Some(CoreId::host(0))]);
         assert_eq!(t.events_on(CoreId::nxp(5)).count(), 0);
-    }
-
-    #[test]
-    fn splice_reproduces_sequential_interleaving() {
-        // Sequential reference: leg events land between the host events
-        // recorded before and after the dispatch point.
-        let mut seq = Trace::default();
-        seq.record_on(CoreId::host(0), Picos(1), Event::Marker("pre"));
-        seq.record_on(CoreId::nxp(0), Picos(2), Event::Marker("leg-a"));
-        seq.record_on(CoreId::nxp(0), Picos(3), Event::Marker("leg-b"));
-        seq.record_on(CoreId::host(0), Picos(4), Event::Marker("post"));
-
-        // Parallel: the host records past the dispatch point, then the
-        // leg's buffer is spliced back at the captured position.
-        let mut par = Trace::default();
-        par.record_on(CoreId::host(0), Picos(1), Event::Marker("pre"));
-        let pos = par.len();
-        par.record_on(CoreId::host(0), Picos(4), Event::Marker("post"));
-        let n = par.splice_at(
-            pos,
-            vec![
-                (Some(CoreId::nxp(0)), Picos(2), Event::Marker("leg-a")),
-                (Some(CoreId::nxp(0)), Picos(3), Event::Marker("leg-b")),
-            ],
-        );
-        assert_eq!(n, 2);
-        assert_eq!(par.events(), seq.events());
-        assert_eq!(par.core_tags(), seq.core_tags());
-    }
-
-    #[test]
-    fn splice_into_disabled_trace_is_a_noop() {
-        let mut t = Trace::disabled();
-        let n = t.splice_at(0, vec![(None, Picos::ZERO, Event::Marker("x"))]);
-        assert_eq!(n, 0);
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -16,12 +16,9 @@
 //!   the arm64 accelerator slots of a heterogeneous fleet.
 //!
 //! All three kernels are *read-only* in the NxP DRAM window and return
-//! their result in `A0` (the request's exit code). That is a hard
-//! requirement, not a style choice: the pipelined engine ships each
-//! leg a private copy of the window and adopts it back at join, so
-//! concurrent legs writing the shared window would make the adopted
-//! bytes depend on join order. Read-only kernels keep the serving
-//! timeline bit-identical for any worker-thread count.
+//! their result in `A0` (the request's exit code), so every tenant reads
+//! the one shared data set staged through tenant 0 and no request can
+//! change what a later one sees.
 //!
 //! Arrivals come from a seeded open-loop generator — Poisson or a
 //! 2-state MMPP (bursty) — so a load sweep replays bit-identically at
@@ -113,7 +110,8 @@ pub struct ServingScenario {
     pub topology: Topology,
     /// Per-slot NxP ISAs (slots past the end default to rv64).
     pub nxp_isas: Vec<IsaId>,
-    /// OS worker threads for NxP leg execution.
+    /// Accepted and ignored; legs run inline (see
+    /// `MachineBuilder::threads`).
     pub threads: usize,
     /// Placement policy for fresh host→NxP calls.
     pub placement: NxpPlacement,
@@ -138,10 +136,7 @@ impl Default for ServingScenario {
             arrivals: ArrivalModel::Poisson,
             mix: RequestMix::default(),
             seed: 0x5E21_1106,
-            topology: Topology {
-                host_cores: 2,
-                nxp_cores: 4,
-            },
+            topology: Topology::new(2, 4),
             nxp_isas: vec![IsaId::Rv64, IsaId::Arm64, IsaId::Rv64, IsaId::Arm64],
             threads: 1,
             placement: NxpPlacement::RoundRobin,
@@ -331,8 +326,8 @@ fn serving_program() -> ProgramBuilder {
 /// identical offsets, so allocating the same sizes in the same order
 /// gives every tenant the same virtual addresses over the same bytes —
 /// tenant 0 writes them once, everyone reads them. Advancing each
-/// tenant's heap cursor over the data set also keeps it inside the
-/// resident window slice the pipelined engine ships to legs.
+/// tenant's heap cursor over the data set also keeps later NxP heap
+/// allocations from landing on top of it.
 fn stage_dataset(m: &mut Machine, tenants: &[u64], seed: u64) -> Result<(), RunError> {
     let mut slab = VirtAddr(0);
     let mut table = VirtAddr(0);
@@ -421,7 +416,6 @@ pub fn build_serving_fleet(cfg: &ServingScenario) -> Result<(Machine, Vec<u64>),
         .topology(cfg.topology)
         .nxp_isas(cfg.nxp_isas.clone())
         .nxp_placement(cfg.placement)
-        .threads(cfg.threads)
         .observability(cfg.observability)
         .ring_occupancy_admission(cfg.ring_admission)
         .kernel_config(flick_os::KernelConfig {

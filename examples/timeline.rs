@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example timeline -- 2 2`
 //! (arguments are `<host_cores> <nxp_cores> [out.json]`, default 2 2
-//! flick-timeline.json; add `--isas rv64,arm64` for a heterogeneous
+//! flick-timeline.json, core counts at least 1; add `--isas rv64,arm64` for a heterogeneous
 //! accelerator fleet — each Perfetto track is then named with its
 //! core's ISA, e.g. `nxp1 (arm64)`), then load the JSON in
 //! ui.perfetto.dev or `chrome://tracing`.
@@ -77,6 +77,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hosts: usize = args.next().map(|a| a.parse()).transpose()?.unwrap_or(2);
     let nxps: usize = args.next().map(|a| a.parse()).transpose()?.unwrap_or(2);
     let out_path = args.next().unwrap_or_else(|| "flick-timeline.json".into());
+    if hosts == 0 || nxps == 0 {
+        return Err(format!("need at least one host core and one NxP, got {hosts}x{nxps}").into());
+    }
     let topo = Topology::new(hosts, nxps);
     let slots: Vec<IsaId> = (0..nxps).map(|i| isas[i % isas.len()]).collect();
     let mut fleet_isas: Vec<IsaId> = Vec::new();

@@ -1,14 +1,14 @@
-//! Differential determinism for parallel host execution.
+//! Run-to-run determinism of the full machine timeline.
 //!
-//! The `threads(n)` knob shards NxP leg execution across OS worker
-//! threads. The contract is absolute: the merged timeline — exit
-//! codes, simulated clocks, counters, the full event trace with core
-//! tags, per-core stats, and observability spans — must be
-//! bit-identical regardless of the worker count, of OS scheduling
-//! between runs, and of whether chaos/failover plans are active. These
-//! tests sweep `threads ∈ {1, 2, 4}` over clean fleets and over eight
-//! seeded chaos+device-chaos schedules, and re-run each configuration
-//! to shake out scheduling-dependent divergence.
+//! The contract is absolute: the merged timeline — exit codes,
+//! simulated clocks, counters, the full event trace with core tags,
+//! per-core stats, and observability spans — must replay bit for bit
+//! from one run to the next, with or without chaos/failover plans
+//! active. These tests run clean fleets and eight seeded
+//! chaos+device-chaos schedules twice each and check both runs against
+//! pinned digests (the FNV-1a fingerprint digest of
+//! `tests/isa_goldens.rs`), so a change that moves the timeline the
+//! same way in both runs still fails here.
 
 use flick::{Machine, Outcome, Topology};
 use flick_isa::{abi, FuncBuilder, TargetIsa};
@@ -51,7 +51,7 @@ fn worker(calls: i64, spin: i64, tag: i64) -> ProgramBuilder {
 }
 
 /// Serializes every observable the machine exposes into one string:
-/// any divergence between thread counts shows up as a text diff.
+/// any divergence between runs shows up as a text diff.
 fn fingerprint(m: &Machine, done: &[(u64, Outcome)]) -> String {
     let mut s = String::new();
     for (pid, o) in done {
@@ -78,15 +78,9 @@ fn fingerprint(m: &Machine, done: &[(u64, Outcome)]) -> String {
 }
 
 /// Builds a machine, runs `procs` workers concurrently, fingerprints.
-fn run_fleet(
-    topo: Topology,
-    threads: usize,
-    procs: i64,
-    plan: Option<FaultPlan>,
-) -> String {
+fn run_fleet(topo: Topology, procs: i64, plan: Option<FaultPlan>) -> String {
     let mut b = Machine::builder()
         .topology(topo)
-        .threads(threads)
         .observability(true)
         .trace(TraceConfig {
             enabled: true,
@@ -102,6 +96,17 @@ fn run_fleet(
     }
     let done = m.run_concurrent(&pids, u64::MAX / 2).unwrap();
     fingerprint(&m, &done)
+}
+
+/// FNV-1a 64 over the fingerprint text (the `tests/isa_goldens.rs`
+/// digest).
+fn digest(s: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in s.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// Asserts two fingerprints match, pointing at the first diverging
@@ -120,82 +125,74 @@ fn assert_same(label: &str, want: &str, got: &str) {
     );
 }
 
-#[test]
-fn clean_fleet_identical_across_thread_counts_1x1() {
-    let topo = Topology::new(1, 1);
-    let base = run_fleet(topo, 1, 3, None);
-    for threads in [2, 4] {
-        let got = run_fleet(topo, threads, 3, None);
-        assert_same(&format!("1x1 threads={threads}"), &base, &got);
-    }
-}
+/// Pinned digests. Rows: (hosts, nxps, procs, seed, digest); seed 0 is
+/// the clean run, seeds 1–8 layer link chaos and seeded device
+/// deaths/rejoins over the 2×3 fleet.
+const GOLDENS: &[(usize, usize, i64, u64, u64)] = &[
+    (1, 1, 3, 0, 0x8f3702d38d011ffb),
+    (2, 2, 4, 0, 0xc109327af365062e),
+    (4, 4, 8, 0, 0xa3540431f73f64bf),
+    (2, 3, 4, 1, 0x080f7872935d9e64),
+    (2, 3, 4, 2, 0x906ad81235405b0b),
+    (2, 3, 4, 3, 0x2985cf9faa3dedd8),
+    (2, 3, 4, 4, 0x487f3692c5f4a4af),
+    (2, 3, 4, 5, 0x0fe4f2805dc8947a),
+    (2, 3, 4, 6, 0x51db62b78de5304a),
+    (2, 3, 4, 7, 0x3bf614a5bb89f480),
+    (2, 3, 4, 8, 0x28cabdd4cb21b3ea),
+];
 
-#[test]
-fn clean_fleet_identical_across_thread_counts_2x2() {
-    let topo = Topology::new(2, 2);
-    let base = run_fleet(topo, 1, 4, None);
-    for threads in [2, 4] {
-        let got = run_fleet(topo, threads, 4, None);
-        assert_same(&format!("2x2 threads={threads}"), &base, &got);
-    }
-    // Repeat runs at the same worker count must also replay exactly:
-    // OS scheduling between runs is not allowed to show through.
-    let again = run_fleet(topo, 4, 4, None);
-    assert_same("2x2 threads=4 repeat", &base, &again);
-}
-
-#[test]
-fn wide_fleet_identical_across_thread_counts_4x4() {
-    let topo = Topology::new(4, 4);
-    let base = run_fleet(topo, 1, 8, None);
-    for threads in [2, 4] {
-        let got = run_fleet(topo, threads, 8, None);
-        assert_same(&format!("4x4 threads={threads}"), &base, &got);
-    }
-}
-
-#[test]
-fn auto_thread_count_is_still_deterministic() {
-    // threads(0) resolves to the host's core count — whatever that is
-    // on the machine running this test, the timeline must not move.
-    let topo = Topology::new(2, 2);
-    let base = run_fleet(topo, 1, 4, None);
-    let auto = run_fleet(topo, 0, 4, None);
-    assert_same("2x2 threads=auto", &base, &auto);
-}
-
-#[test]
-fn chaos_and_failover_seed_sweep_identical_across_thread_counts() {
-    // Link chaos + seeded device deaths/rejoins layered together, the
-    // harshest replay surface the machine has. Eight seeds, each run
-    // at 1, 2 and 4 workers plus one repeat.
-    let topo = Topology::new(2, 3);
-    for seed in 1..=8u64 {
+/// Runs the pinned configuration twice: the second run must replay the
+/// first exactly, and both must match the pinned digest.
+fn replay_matches_golden(hosts: usize, nxps: usize, procs: i64, seed: u64) {
+    let &(.., want) = GOLDENS
+        .iter()
+        .find(|g| (g.0, g.1, g.2, g.3) == (hosts, nxps, procs, seed))
+        .expect("configuration has a pinned digest");
+    let topo = Topology::new(hosts, nxps);
+    let plan = (seed != 0).then(|| {
         // Fault-free twin bounds the device-chaos horizon (same recipe
         // as the failover example and tests).
-        let clean = run_fleet(topo, 1, 4, None);
-        let horizon = {
-            // Cheap parse-free horizon: rebuild the clean machine once
-            // to read its finish time.
-            let mut m = Machine::builder().topology(topo).build();
-            let mut pids = Vec::new();
-            for tag in 0..4 {
-                pids.push(m.load_program(&mut worker(6, 2_000, tag * 100_000)).unwrap());
-            }
-            m.run_concurrent(&pids, u64::MAX / 2).unwrap();
-            m.host_now()
-        };
-        drop(clean);
-        let plan = || {
-            FaultPlan::chaos(seed)
-                .with_device_events(FaultPlan::device_chaos(seed, 3, horizon))
-        };
-        let base = run_fleet(topo, 1, 4, Some(plan()));
-        for threads in [2, 4] {
-            let got = run_fleet(topo, threads, 4, Some(plan()));
-            assert_same(&format!("seed={seed} threads={threads}"), &base, &got);
+        let mut m = Machine::builder().topology(topo).build();
+        let mut pids = Vec::new();
+        for tag in 0..procs {
+            pids.push(m.load_program(&mut worker(6, 2_000, tag * 100_000)).unwrap());
         }
-        let again = run_fleet(topo, 4, 4, Some(plan()));
-        assert_same(&format!("seed={seed} threads=4 repeat"), &base, &again);
+        m.run_concurrent(&pids, u64::MAX / 2).unwrap();
+        let horizon = m.host_now();
+        FaultPlan::chaos(seed).with_device_events(FaultPlan::device_chaos(seed, 3, horizon))
+    });
+    let label = format!("{hosts}x{nxps} seed={seed}");
+    let base = run_fleet(topo, procs, plan.clone());
+    let again = run_fleet(topo, procs, plan);
+    assert_same(&format!("{label} repeat"), &base, &again);
+    let got = digest(&base);
+    assert_eq!(
+        got, want,
+        "{label}: golden digest moved ({got:#018x} != pinned {want:#018x})"
+    );
+}
+
+#[test]
+fn clean_fleet_replays_and_matches_golden_1x1() {
+    replay_matches_golden(1, 1, 3, 0);
+}
+
+#[test]
+fn clean_fleet_replays_and_matches_golden_2x2() {
+    replay_matches_golden(2, 2, 4, 0);
+}
+
+#[test]
+fn wide_fleet_replays_and_matches_golden_4x4() {
+    replay_matches_golden(4, 4, 8, 0);
+}
+
+#[test]
+fn chaos_and_failover_seed_sweep_replays_and_matches_goldens() {
+    // Link chaos + seeded device deaths/rejoins layered together, the
+    // harshest replay surface the machine has.
+    for seed in 1..=8u64 {
+        replay_matches_golden(2, 3, 4, seed);
     }
 }

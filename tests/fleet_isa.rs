@@ -12,10 +12,7 @@ use flick_toolchain::ProgramBuilder;
 /// A 1×2 fleet with one rv64 and one arm64 NxP.
 fn hetero_machine() -> Machine {
     Machine::builder()
-        .topology(Topology {
-            host_cores: 1,
-            nxp_cores: 2,
-        })
+        .topology(Topology::new(1, 2))
         .nxp_isas(vec![IsaId::Rv64, IsaId::Arm64])
         .trace(TraceConfig {
             enabled: true,
@@ -270,10 +267,7 @@ fn fleet_mix_is_result_invariant() {
         let mut p = ProgramBuilder::new("pairs");
         build_pairs_program(&mut p);
         let mut m = Machine::builder()
-            .topology(Topology {
-                host_cores: 1,
-                nxp_cores: isas.len(),
-            })
+            .topology(Topology::new(1, isas.len()))
             .nxp_isas(isas)
             .build();
         let pid = m.load_program(&mut p).unwrap();

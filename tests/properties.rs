@@ -314,10 +314,7 @@ fn random_cross_isa_chain_matches_reference() {
             p.func(f.finish());
         }
         let mut m = flick::Machine::builder()
-            .topology(flick::Topology {
-                host_cores: 1,
-                nxp_cores: 2,
-            })
+            .topology(flick::Topology::new(1, 2))
             .nxp_isas(vec![flick_isa::IsaId::Rv64, flick_isa::IsaId::Arm64])
             .trace(flick_sim::TraceConfig {
                 enabled: false,
