@@ -464,9 +464,10 @@ fn bench_interpreter(samples: u32) -> BenchResult {
     )
 }
 
-/// Pure step-loop throughput: a bare `Core` against identity-mapped
-/// memory, no machine, kernel, or scheduler in the loop. This is the
-/// ceiling the decoded-instruction fast path is chasing.
+/// Bare-core interpreter throughput: a `Core` against identity-mapped
+/// memory, no machine, kernel, or scheduler in the loop. The countdown
+/// body is a memory-free self-loop, so nearly every instruction retires
+/// in the block engine's `SpinOp` spin tier.
 fn bench_pure_interpret(samples: u32) -> BenchResult {
     // Identity-map the low 16 MiB and plant the loop at 0x40_0000, like
     // the cpu crate's own fixtures.
@@ -516,11 +517,9 @@ fn bench_pure_interpret(samples: u32) -> BenchResult {
 /// the body is just a cross-register add plus the decrement, so nearly
 /// every retired instruction sits on a block boundary. Without block
 /// chaining every iteration re-enters top-level dispatch; with it the
-/// whole run is one chain/spin entry. The cross-register `add` is
-/// deliberate: it keeps the loop out of the affine closed form
-/// (DESIGN.md §8), so this bench exercises the *iterating* spin tier
-/// — the machinery the `bench_gate` regression gate watches for
-/// "chaining fell off".
+/// whole run is one chain entry plus one `SpinOp` spin batch — the
+/// machinery the `bench_gate` regression gate watches for "chaining
+/// fell off".
 fn bench_interpret_hotloop(samples: u32) -> BenchResult {
     let mut mem = PhysMem::new();
     let mut alloc = BumpFrameAlloc::new(PhysAddr(0x100_0000), PhysAddr(0x200_0000));

@@ -5,9 +5,9 @@
 //! Three kinds of gates:
 //!
 //! - **Wall-clock** (`mean_ns`): only benches cheap enough to be stable
-//!   at 1 sample — `interpret` (the pure step-loop ceiling the block
-//!   engine owns), `interpret_hotloop` (the back-edge-dominated
-//!   chaining best case), `migration_throughput_1nxp` (the end-to-end
+//!   at 1 sample — `interpret` (a bare core spinning a countdown
+//!   loop in the `SpinOp` tier), `interpret_hotloop` (the
+//!   back-edge-dominated chaining best case), `migration_throughput_1nxp` (the end-to-end
 //!   descriptor path), and `migration_throughput_degraded` (the same
 //!   fleet with one NxP crashed mid-run). A 1-sample smoke run is
 //!   noisy, so the threshold is generous (30%): this catches "the fast

@@ -421,7 +421,7 @@ impl MachineBuilder {
         self
     }
 
-    /// Toggles the host-side decoded-instruction fast path on every
+    /// Toggles the host-side decoded-block fast path on every
     /// core (host, NxP, and the degraded-mode emulator). On by default;
     /// the differential tests switch it off to prove simulated clocks,
     /// stats, and traces are bit-identical either way. Overrides any
@@ -1154,7 +1154,7 @@ impl Machine {
         let mut pending: Vec<BinaryHeap<Reverse<(Picos, u64)>>> =
             (0..n).map(|_| BinaryHeap::new()).collect();
         let mut wakes: HashMap<u64, PendingWake> = HashMap::new();
-        let mut slots: Vec<CoreSlot> = vec![CoreSlot::default(); n];
+        let mut slots = vec![CoreSlot::default(); n];
         let mut done: Vec<(u64, Outcome)> = Vec::new();
         let start_insts = self.executed();
         // Closed-loop runs finish when every submitted process exits;

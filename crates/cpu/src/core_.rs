@@ -2,9 +2,7 @@
 //! cycle/latency accounting and the Flick exception surface.
 
 use crate::cache::{Cache, CacheConfig};
-use crate::decoded::{
-    BlockInst, DecodedBlock, DecodedCache, SpinBranch, SpinFoldKind, SpinOp, NO_SUCC,
-};
+use crate::decoded::{BlockInst, DecodedBlock, DecodedCache, SpinBranch, SpinOp, NO_SUCC};
 use crate::tlb::{MmuHole, Tlb, TlbEntry};
 use crate::MemEnv;
 use flick_isa::inst::AluOp;
@@ -127,7 +125,7 @@ pub struct CoreConfig {
     /// pages, so control returning to host text hands execution back to
     /// the native core.
     pub emulates_foreign_isa: bool,
-    /// Enables the host-side decoded-instruction cache (see
+    /// Enables the host-side decoded-block engine (see
     /// [`DecodedCache`]). Purely a host wall-clock optimization: the
     /// simulated clocks, stats, and traces are bit-identical either way
     /// (enforced by `tests/fastpath.rs`). On by default; switched off by
@@ -583,7 +581,7 @@ impl Core {
     }
 
     /// Loads a new page-table base, flushing both TLBs (as a CR3 write
-    /// does). The decoded-instruction cache survives: it is keyed by
+    /// does). The decoded-block cache survives: it is keyed by
     /// *physical* address and every cached page is watched in `PhysMem`,
     /// so translation changes cannot alias it and text changes bump the
     /// generation it validates against. (Clearing it here used to cost
@@ -599,7 +597,7 @@ impl Core {
     /// with [`set_cr3`](Self::set_cr3) the decoded cache is untouched:
     /// permission changes are enforced by the fetch path (the fetch memo
     /// is dropped here, so the next fetch re-walks and re-checks NX),
-    /// not by the PA-keyed decode memo.
+    /// not by the PA-keyed block cache.
     pub fn flush_tlbs(&mut self) {
         self.itlb.flush();
         self.dtlb.flush();
@@ -841,14 +839,14 @@ impl Core {
         Ok(Some(pa))
     }
 
-    /// Reads instruction bytes at the current PC, handling page-spanning
-    /// instructions.
+    /// Reads and decodes the instruction bytes at the current PC,
+    /// handling page-spanning instructions.
     ///
     /// Simulated-time charging (`translate_exec`, `charge_fetch`) runs
     /// unconditionally; the fast path only short-circuits the host-side
-    /// byte read + decode, which are deterministic functions of the text
-    /// bytes. That is why fast-path on/off cannot change simulated
-    /// clocks, stats, or traces.
+    /// translation walk through the fetch memo, which skips nothing the
+    /// simulated machine can observe. Decoding always reads the bytes:
+    /// decoded forms are cached only as blocks (see `block_step`).
     fn fetch_decode(
         &mut self,
         mem: &mut PhysMem,
@@ -873,27 +871,12 @@ impl Core {
                 pa
             }
         };
-        if self.cfg.fast_path {
-            if let Some((inst, len)) = self.decoded.get(pa, mem.text_gen()) {
-                return Ok((inst, len as u64));
-            }
-        }
         let in_page = (PAGE_SIZE - pc.page_offset()) as usize;
         let avail = in_page.min(16);
         let mut buf = [0u8; 16];
         mem.read_bytes(pa, &mut buf[..avail]);
         match self.cfg.isa.decode(&buf[..avail]) {
-            Ok((inst, len)) => {
-                // The decode succeeded within this page (len <= avail),
-                // so it is safe to memoize; page-spanning instructions
-                // take the branch below and are never cached (their
-                // next-page translation and fetch charge must replay).
-                if self.cfg.fast_path {
-                    mem.watch_text(pa);
-                    self.decoded.put(pa, inst, len as u8);
-                }
-                Ok((inst, len as u64))
-            }
+            Ok((inst, len)) => Ok((inst, len as u64)),
             Err(DecodeError::Truncated) if avail < 16 => {
                 // Instruction spans a page boundary: fetch from the next
                 // page (with full permission checks there). The extra
@@ -1298,17 +1281,17 @@ impl Core {
                         self.chain.chain_patches += 1;
                     }
                     self.chain.chain_hits += 1;
-                    if cur.mem_free && *left >= cur.insts.len() as u64 {
-                        // Spin batch: replay full iterations back to
-                        // back (see `exec_block_spin` for why the
-                        // per-follow validation is provably constant
-                        // here), then re-validate from the exit PC.
-                        let iters = self.exec_block_spin(&cur, env, left);
+                    // Spin batch: replay full iterations back to back
+                    // (see `exec_block_spin` for why the per-follow
+                    // validation is provably constant there), then
+                    // re-validate from the exit PC.
+                    let iters = self.exec_block_spin(&cur, left);
+                    if iters > 0 {
                         self.chain.chain_hits += iters - 1;
                         continue;
                     }
-                    // Memory-touching or fuel-short self-loop: execute
-                    // normally (handles faults, SMC, partial fuel).
+                    // A self-loop the spin tier declines (memory ops,
+                    // short fuel, I-cache charges): execute normally.
                     continue 'lane;
                 }
                 let next = match Self::ws_take(&mut ws, off) {
@@ -1528,14 +1511,13 @@ impl Core {
             let mem_free = insts
                 .iter()
                 .all(|bi| !matches!(bi.inst, Inst::Ld { .. } | Inst::St { .. }));
-            // Only blocks with a successor edge can ever spin; skip the
-            // lowering for the rest (trap terminators, page exits).
-            let spin = if mem_free && succ != [NO_SUCC; 2] {
+            // Only a memory-free block whose successor edge targets its
+            // own entry can ever spin; skip the lowering for the rest.
+            let spin = if mem_free && succ.contains(&(start_off as u16)) {
                 DecodedBlock::lower_spin(&insts)
             } else {
                 Vec::new()
             };
-            let fold = DecodedBlock::fold_spin(&spin, insts[0].off);
             Some(DecodedBlock {
                 insts,
                 total_cycles,
@@ -1544,7 +1526,6 @@ impl Core {
                 succ_off: succ,
                 links: [OnceLock::new(), OnceLock::new()],
                 spin,
-                fold,
             })
         }
     }
@@ -1569,8 +1550,8 @@ impl Core {
     /// - A **store** that bumps the text generation (self-modifying
     ///   code into any watched frame) ends the block after the store
     ///   retires; the next `block_step` misses on the stale generation
-    ///   and re-decodes fresh bytes, which is precisely what the
-    ///   per-instruction `DecodedCache::get` does.
+    ///   and re-decodes fresh bytes, which is precisely what the step
+    ///   path's fetch-and-decode does.
     ///
     /// `Ok(true)` means the block *completed*: every instruction
     /// retired, so the PC is wherever the final transfer (or
@@ -1828,238 +1809,105 @@ impl Core {
     /// mid-batch, so the per-follow validation the chain loop normally
     /// re-runs is provably constant and the only live exit conditions
     /// are the loop transfer leaving the block start and fuel.
-    /// Per-instruction effects (register writes, PC, I-cache line
-    /// charges) still replay in order; only the accounting is batched,
-    /// flushed once by multiplying the pre-rounded per-iteration
+    ///
+    /// The tier is charge-free: it takes a block only when no
+    /// instruction inside it starts a new I-cache line and its first
+    /// line is the memoized one, so an iteration performs *zero*
+    /// I-cache charges — and since charges are the only thing that can
+    /// move the memo's line, that holds for every later iteration too.
+    /// The loop body shrinks to pure architectural effects, executed
+    /// from the block's pre-lowered micro-ops ([`SpinOp`]): one jump
+    /// table per instruction, bounds-check-free register-file indexing,
+    /// pre-resolved branch displacements. The register file moves into
+    /// a local array for the duration (no aliasing with `self`, so
+    /// nothing reloads across instructions); `r0` stays zero because
+    /// lowering turned every write to it into a `Nop`. The accounting
+    /// is flushed once by multiplying the pre-rounded per-iteration
     /// totals — bit-identical to per-iteration crediting because each
     /// summand already carries `Clock::tick`'s rounding.
     ///
-    /// A trap or indirect terminator never carries a successor edge, so
-    /// a self-chained block can only end in a conditional branch or
-    /// direct jump; `Ecall`/`Halt` (and, via `mem_free`, loads and
-    /// stores) are structurally absent.
-    ///
-    /// Returns the number of iterations executed (≥ 1; the caller
-    /// checked fuel covers one). The caller re-validates the exit PC.
-    fn exec_block_spin(&mut self, block: &DecodedBlock, env: &MemEnv, left: &mut u64) -> u64 {
+    /// Returns the number of iterations executed, or 0 — with no side
+    /// effects — when the block is not a lowered self-loop, fuel does
+    /// not cover one iteration, or an iteration would charge the
+    /// I-cache; the caller then runs the iteration through
+    /// `exec_block`. The caller re-validates the exit PC.
+    fn exec_block_spin(&mut self, block: &DecodedBlock, left: &mut u64) -> u64 {
         let Some(fc) = self.fetch_frame else {
             unreachable!("spin is entered from a validated lane");
         };
         let va_page = fc.va_page;
-        let pa_page = fc.pa_page;
+        let n = block.insts.len() as u64;
+        if block.spin.is_empty()
+            || *left < n
+            || block.insts.iter().any(|bi| bi.new_line)
+            || self.icache.line_index(fc.pa_page | block.insts[0].off as u64) != fc.line
+        {
+            return 0;
+        }
         let start = self.pc.as_u64();
-        let mut cur_line = fc.line;
         let mut pc = start;
         let mut fuel = *left;
-        let n = block.insts.len() as u64;
         let mut iters = 0u64;
-        // Charge-free tier: when no instruction inside the block starts
-        // a new I-cache line and the block's first line is the memoized
-        // one, an iteration performs *zero* I-cache charges — and since
-        // charges are the only thing that can move `cur_line`, that
-        // holds for every subsequent iteration too. The loop body then
-        // shrinks to pure architectural effects, executed from the
-        // block's pre-lowered micro-ops ([`SpinOp`]): one jump table
-        // per instruction, bounds-check-free register-file indexing,
-        // pre-resolved branch displacements. The register file moves
-        // into a local array for the duration (no aliasing with `self`,
-        // so nothing reloads across instructions); `r0` stays zero
-        // because lowering turned every write to it into a `Nop` (the
-        // `Jalr` link is the one runtime discard left). The simulated
-        // machine sees the identical hit sequence the careful tier
-        // would have replayed (all hits, all free).
-        if !block.spin.is_empty()
-            && block.insts.iter().all(|bi| !bi.new_line)
-            && self.icache.line_index(pa_page | block.insts[0].off as u64) == cur_line
-        {
-            // Affine fold: when the loop has a closed form (see
-            // [`SpinFold`]), the whole run of iterations collapses to
-            // O(1) — trip count solved from the counter's entry value,
-            // each register bumped by `delta × iters`, and the same
-            // batched accounting flush the iterating tiers do. `iters`
-            // is clamped so the accounting multiplications cannot
-            // overflow; a clamped entry exits with `pc` still at the
-            // block start and the caller simply re-enters.
-            if let Some(f) = &block.fold {
-                let t_fuel = fuel / n;
-                let t_cond = match f.kind {
-                    SpinFoldKind::Never => u64::MAX,
-                    SpinFoldKind::Down => match self.regs[f.counter as usize & 31] {
-                        0 => u64::MAX,
-                        v => v,
-                    },
-                    SpinFoldKind::Up => match self.regs[f.counter as usize & 31] {
-                        0 => u64::MAX,
-                        v => v.wrapping_neg(),
-                    },
-                };
-                let cap = (u64::MAX / block.total_picos.max(1))
-                    .min(u64::MAX / block.total_cycles.max(1))
-                    .max(1);
-                let iters = t_cond.min(t_fuel).min(cap);
-                for &(r, d) in &f.deltas {
-                    let i = r as usize & 31;
-                    self.regs[i] = self.regs[i].wrapping_add(d.wrapping_mul(iters));
-                }
-                let cond_exit = iters == t_cond && !matches!(f.kind, SpinFoldKind::Never);
-                self.pc = VirtAddr(if cond_exit {
-                    va_page + f.next as u64
-                } else {
-                    start
-                });
-                *left = fuel - iters * n;
-                self.counters.instructions += iters * n;
-                self.clock
-                    .credit(iters * block.total_cycles, Picos(iters * block.total_picos));
-                return iters;
+        let mut lr = self.regs;
+        let take = |b: &SpinBranch, cond: bool| -> u64 {
+            if cond {
+                (va_page as i64 + b.taken) as u64
+            } else {
+                va_page + b.next as u64
             }
-            let mut lr = self.regs;
-            let take = |b: &SpinBranch, cond: bool| -> u64 {
-                if cond {
-                    (va_page as i64 + b.taken) as u64
-                } else {
-                    va_page + b.next as u64
-                }
-            };
-            loop {
-                for op in &block.spin {
-                    match *op {
-                        SpinOp::AddImm { rd, rs1, imm } => {
-                            lr[rd as usize & 31] = lr[rs1 as usize & 31].wrapping_add(imm);
-                        }
-                        SpinOp::Add { rd, rs1, rs2 } => {
-                            lr[rd as usize & 31] =
-                                lr[rs1 as usize & 31].wrapping_add(lr[rs2 as usize & 31]);
-                        }
-                        SpinOp::Alu { op, rd, rs1, rs2 } => {
-                            lr[rd as usize & 31] =
-                                op.eval(lr[rs1 as usize & 31], lr[rs2 as usize & 31]);
-                        }
-                        SpinOp::AluImm { op, rd, rs1, imm } => {
-                            lr[rd as usize & 31] = op.eval(lr[rs1 as usize & 31], imm);
-                        }
-                        SpinOp::Li { rd, imm } => {
-                            lr[rd as usize & 31] = imm;
-                        }
-                        SpinOp::Beq(ref b) => {
-                            pc = take(b, lr[b.rs1 as usize & 31] == lr[b.rs2 as usize & 31]);
-                        }
-                        SpinOp::Bne(ref b) => {
-                            pc = take(b, lr[b.rs1 as usize & 31] != lr[b.rs2 as usize & 31]);
-                        }
-                        SpinOp::Blt(ref b) => {
-                            pc = take(
-                                b,
-                                (lr[b.rs1 as usize & 31] as i64) < (lr[b.rs2 as usize & 31] as i64),
-                            );
-                        }
-                        SpinOp::Bge(ref b) => {
-                            pc = take(
-                                b,
-                                (lr[b.rs1 as usize & 31] as i64)
-                                    >= (lr[b.rs2 as usize & 31] as i64),
-                            );
-                        }
-                        SpinOp::Bltu(ref b) => {
-                            pc = take(b, lr[b.rs1 as usize & 31] < lr[b.rs2 as usize & 31]);
-                        }
-                        SpinOp::Bgeu(ref b) => {
-                            pc = take(b, lr[b.rs1 as usize & 31] >= lr[b.rs2 as usize & 31]);
-                        }
-                        SpinOp::Jal { rd, taken, next } => {
-                            lr[rd as usize & 31] = va_page + next as u64;
-                            pc = (va_page as i64 + taken) as u64;
-                        }
-                        SpinOp::Jmp { taken } => {
-                            pc = (va_page as i64 + taken) as u64;
-                        }
-                        SpinOp::Jalr { rd, rs1, off, next } => {
-                            let dest = lr[rs1 as usize & 31].wrapping_add(off);
-                            lr[rd as usize & 31] = va_page + next as u64;
-                            lr[0] = 0;
-                            pc = dest;
-                        }
-                        SpinOp::Ret => {
-                            pc = lr[abi::RA.index()];
-                        }
-                        SpinOp::Nop => {}
-                    }
-                }
-                iters += 1;
-                fuel -= n;
-                if pc != start || fuel < n {
-                    break;
-                }
-            }
-            self.regs = lr;
-            self.pc = VirtAddr(pc);
-            *left = fuel;
-            self.counters.instructions += iters * n;
-            self.clock
-                .credit(iters * block.total_cycles, Picos(iters * block.total_picos));
-            return iters;
-        }
+        };
         loop {
-            let mut first = true;
-            for bi in &block.insts {
-                let charge = if first {
-                    first = false;
-                    self.icache.line_index(pa_page | bi.off as u64) != cur_line
-                } else {
-                    bi.new_line
-                };
-                if charge {
-                    let pa = PhysAddr(pa_page | bi.off as u64);
-                    self.charge_fetch(pa, env);
-                    cur_line = self.icache.line_index(pa.as_u64());
-                }
-                let next = va_page + bi.next_off as u64;
-                match bi.inst {
-                    Inst::Alu { op, rd, rs1, rs2 } => {
-                        let v = op.eval(self.reg(rs1), self.reg(rs2));
-                        self.set_reg(rd, v);
-                        pc = next;
+            for op in &block.spin {
+                match *op {
+                    SpinOp::AddImm { rd, rs1, imm } => {
+                        lr[rd as usize & 31] = lr[rs1 as usize & 31].wrapping_add(imm);
                     }
-                    Inst::AluImm { op, rd, rs1, imm } => {
-                        let v = op.eval(self.reg(rs1), imm as i64 as u64);
-                        self.set_reg(rd, v);
-                        pc = next;
+                    SpinOp::Add { rd, rs1, rs2 } => {
+                        lr[rd as usize & 31] =
+                            lr[rs1 as usize & 31].wrapping_add(lr[rs2 as usize & 31]);
                     }
-                    Inst::Li { rd, imm } => {
-                        self.set_reg(rd, imm as u64);
-                        pc = next;
+                    SpinOp::Alu { op, rd, rs1, rs2 } => {
+                        lr[rd as usize & 31] =
+                            op.eval(lr[rs1 as usize & 31], lr[rs2 as usize & 31]);
                     }
-                    Inst::Branch { op, rs1, rs2, target } => {
-                        let taken = op.eval(self.reg(rs1), self.reg(rs2));
-                        pc = if taken {
-                            let pc_va = va_page + bi.off as u64;
-                            (pc_va as i64 + rel_of(target)) as u64
-                        } else {
-                            next
-                        };
+                    SpinOp::AluImm { op, rd, rs1, imm } => {
+                        lr[rd as usize & 31] = op.eval(lr[rs1 as usize & 31], imm);
                     }
-                    Inst::Jal { rd, target } => {
-                        self.set_reg(rd, next);
-                        let pc_va = va_page + bi.off as u64;
-                        pc = (pc_va as i64 + rel_of(target)) as u64;
+                    SpinOp::Li { rd, imm } => {
+                        lr[rd as usize & 31] = imm;
                     }
-                    Inst::Jalr { rd, rs1, off } => {
-                        let dest = self.reg(rs1).wrapping_add(off as i64 as u64);
-                        self.set_reg(rd, next);
-                        pc = dest;
+                    SpinOp::Beq(ref b) => {
+                        pc = take(b, lr[b.rs1 as usize & 31] == lr[b.rs2 as usize & 31]);
                     }
-                    Inst::Ret => {
-                        pc = self.reg(abi::RA);
+                    SpinOp::Bne(ref b) => {
+                        pc = take(b, lr[b.rs1 as usize & 31] != lr[b.rs2 as usize & 31]);
                     }
-                    Inst::Nop => {
-                        pc = next;
+                    SpinOp::Blt(ref b) => {
+                        pc = take(
+                            b,
+                            (lr[b.rs1 as usize & 31] as i64) < (lr[b.rs2 as usize & 31] as i64),
+                        );
                     }
-                    Inst::Ecall { .. } | Inst::Halt => {
-                        unreachable!("trap terminator cannot carry a successor edge")
+                    SpinOp::Bge(ref b) => {
+                        pc = take(
+                            b,
+                            (lr[b.rs1 as usize & 31] as i64) >= (lr[b.rs2 as usize & 31] as i64),
+                        );
                     }
-                    Inst::Ld { .. } | Inst::St { .. } | Inst::LiSym { .. } => {
-                        unreachable!("excluded from mem-free blocks at build")
+                    SpinOp::Bltu(ref b) => {
+                        pc = take(b, lr[b.rs1 as usize & 31] < lr[b.rs2 as usize & 31]);
                     }
+                    SpinOp::Bgeu(ref b) => {
+                        pc = take(b, lr[b.rs1 as usize & 31] >= lr[b.rs2 as usize & 31]);
+                    }
+                    SpinOp::Jal { rd, taken, next } => {
+                        lr[rd as usize & 31] = va_page + next as u64;
+                        pc = (va_page as i64 + taken) as u64;
+                    }
+                    SpinOp::Jmp { taken } => {
+                        pc = (va_page as i64 + taken) as u64;
+                    }
+                    SpinOp::Nop => {}
                 }
             }
             iters += 1;
@@ -2068,14 +1916,12 @@ impl Core {
                 break;
             }
         }
+        self.regs = lr;
         self.pc = VirtAddr(pc);
         *left = fuel;
         self.counters.instructions += iters * n;
         self.clock
             .credit(iters * block.total_cycles, Picos(iters * block.total_picos));
-        if let Some(fc) = &mut self.fetch_frame {
-            fc.line = cur_line;
-        }
         iters
     }
 }

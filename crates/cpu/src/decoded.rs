@@ -1,25 +1,26 @@
-//! Decoded-instruction cache: the host-side fast path through
+//! Decoded-block cache: the host-side fast path through
 //! fetch/translate/decode.
 //!
 //! Interpreter fetch pays, per simulated instruction, a 16-byte
 //! `PhysMem` read plus a full byte-level re-decode of bytes that almost
-//! never change. This cache memoizes the decoder's output keyed by
-//! *physical* address — per-page baskets of `(offset → (Inst, len))`
-//! slots, after terminus's `ICache`/`ICacheBasket` — so a hot loop
-//! fetches at array-index speed. Baskets also record [`DecodedBlock`]s:
-//! straight-line instruction runs the core's block-execution loop
-//! replays without re-entering fetch or dispatch per instruction (see
-//! `Core::run` in [`core_`](crate::core_)).
+//! never change. This cache memoizes decoded [`DecodedBlock`]s keyed by
+//! *physical* start address — per-page baskets of `(offset → block)`
+//! entries, after terminus's `ICache`/`ICacheBasket` — and the core's
+//! block-execution loop replays them without re-entering fetch or
+//! dispatch per instruction (see `Core::run` in
+//! [`core_`](crate::core_)). Blocks are the only decoded form: the
+//! per-instruction fallback `step` decodes from bytes every time, as
+//! the reference engine does.
 //!
 //! Keying by physical address keeps the cache honest across address
 //! spaces: the same text frame decoded through two mappings shares one
 //! basket, and remaps cannot alias stale decodes. That key choice also
 //! means the cache needs exactly one invalidation mechanism — **text
-//! writes**: every cached page is marked *watched* in
+//! writes**: every page a block is decoded from is marked *watched* in
 //! [`PhysMem`](flick_mem::PhysMem); any write into a watched frame
-//! bumps the store's `text_gen`. [`DecodedCache::get`] compares that
-//! generation against its snapshot — one `u64` compare per fetch —
-//! and drops everything on mismatch. Self-modifying or reloaded code
+//! bumps the store's `text_gen`. [`DecodedCache::get_block`] compares
+//! that generation against its snapshot — one `u64` compare per lookup
+//! — and drops everything on mismatch. Self-modifying or reloaded code
 //! is therefore never served stale.
 //!
 //! CR3 switches and TLB flushes/shootdowns deliberately do *not* touch
@@ -52,8 +53,8 @@ use std::sync::{Arc, OnceLock, Weak};
 pub const NO_SUCC: u16 = u16::MAX;
 
 /// Number of basket sets. Conflicts only cost host time (re-decode on
-/// the next fetch), so a small power of two covering the text working
-/// set of both cores is enough.
+/// the next block entry), so a small power of two covering the text
+/// working set of both cores is enough.
 const SETS: usize = 32;
 
 /// Ways per set.
@@ -61,8 +62,6 @@ const WAYS: usize = 2;
 
 /// Tag value meaning "basket holds no page".
 const NO_PAGE: u64 = u64::MAX;
-
-type Slot = Option<(Inst, u8)>;
 
 /// One pre-decoded instruction of a [`DecodedBlock`], with everything
 /// the block-execution loop needs resolved at decode time.
@@ -120,8 +119,9 @@ pub struct SpinBranch {
 ///
 /// Straight-line variants carry no "next PC": within one decoded
 /// block the intermediate PC values are dead (the vec order *is* the
-/// execution order, and a spin-lowered block always ends in a control
-/// op — [`lower_spin`] callers gate on a successor edge existing), so
+/// execution order, and a spin-lowered block always ends in a direct
+/// control op — only blocks with a successor edge back to their own
+/// entry are lowered, and indirect transfers never carry an edge), so
 /// only control variants set the PC. Purely a host-side re-encoding:
 /// the net architectural effect of one pass over the micro-ops equals
 /// one pass over the source instructions.
@@ -201,118 +201,15 @@ pub enum SpinOp {
         /// Target displacement from the page base.
         taken: i64,
     },
-    /// Indirect jump with link. The executor must discard the link
-    /// write when `rd` is 0 (the only runtime zero-register case left).
-    Jalr {
-        /// Link register index, pre-masked.
-        rd: u8,
-        /// Base register index, pre-masked.
-        rs1: u8,
-        /// Displacement, pre-converted for `wrapping_add`.
-        off: u64,
-        /// Page offset of the next instruction (the link value).
-        next: u16,
-    },
-    /// Return (`pc = ra`).
-    Ret,
     /// No architectural effect (including lowered writes to `r0`).
     Nop,
 }
 
-/// How an affine spin block's trip count derives from its counter
-/// register's entry value (see [`SpinFold`]).
-#[derive(Clone, Copy, Debug)]
-pub enum SpinFoldKind {
-    /// Counter nets −1 per iteration, `bne counter, r0` terminator:
-    /// the loop runs `counter` iterations (entry value 0 wraps first,
-    /// so it reads as "practically unbounded" — fuel exits long before
-    /// 2⁶⁴ iterations).
-    Down,
-    /// Counter nets +1 per iteration: `counter.wrapping_neg()`
-    /// iterations until the wrap back to zero falls through.
-    Up,
-    /// Unconditional self-jump — only fuel ever exits.
-    Never,
-}
-
-/// Closed-form execution plan for an *affine* self-loop: a spin block
-/// whose body is nothing but self-increments (`rd = rd + imm`) and
-/// `Nop`s, terminated by a back-edge that tests one of those counters
-/// against `r0` (or by an unconditional self-jump). Such a loop's
-/// state after `k` iterations is linear in `k` — each register gains
-/// `delta × k` (wrapping multiplication *is* `k` wrapping additions,
-/// addition being associative mod 2⁶⁴) and the first fall-through
-/// iteration solves exactly from the counter's entry value — so the
-/// spin tier executes the whole run of iterations in O(1) instead of
-/// O(k), with bit-identical registers, PC, fuel, instruction counts
-/// and clock credit. The canonical `li n; lp: ...; addi n, n, -1;
-/// bne n, r0, lp` countdown every toolchain loop emits folds; anything
-/// with a cross-register read falls back to the per-op spin loop.
-#[derive(Clone, Debug)]
-pub struct SpinFold {
-    /// Net per-iteration wrapping delta for every register the body
-    /// writes (register index, delta). Applied as `reg += delta × k`.
-    pub deltas: Vec<(u8, u64)>,
-    /// The register the terminator tests against `r0` (unused for
-    /// [`SpinFoldKind::Never`]). Never `r0` itself.
-    pub counter: u8,
-    /// Trip-count rule.
-    pub kind: SpinFoldKind,
-    /// Fall-through page offset on a condition exit.
-    pub next: u16,
-}
-
-/// Derives the closed form of an affine self-loop from its lowered
-/// ops, or `None` when the block is not affine: any body op that is
-/// not a self-increment or `Nop`, a terminator other than
-/// `bne counter, r0` / self-`Jmp`, a back-edge that is not the block
-/// entry, or a counter step other than ±1 (other steps need modular
-/// division to solve and are not worth the code).
-fn fold_spin(ops: &[SpinOp], entry_off: u16) -> Option<SpinFold> {
-    let (last, body) = ops.split_last()?;
-    let mut deltas: Vec<(u8, u64)> = Vec::new();
-    for op in body {
-        match *op {
-            SpinOp::AddImm { rd, rs1, imm } if rd == rs1 => {
-                match deltas.iter_mut().find(|e| e.0 == rd) {
-                    Some(e) => e.1 = e.1.wrapping_add(imm),
-                    None => deltas.push((rd, imm)),
-                }
-            }
-            SpinOp::Nop => {}
-            _ => return None,
-        }
-    }
-    match *last {
-        SpinOp::Jmp { taken } if taken == entry_off as i64 => Some(SpinFold {
-            deltas,
-            counter: 0,
-            kind: SpinFoldKind::Never,
-            next: 0,
-        }),
-        SpinOp::Bne(b) if b.taken == entry_off as i64 => {
-            let counter = match (b.rs1, b.rs2) {
-                (c, 0) if c != 0 => c,
-                (0, c) if c != 0 => c,
-                _ => return None,
-            };
-            let step = deltas.iter().find(|e| e.0 == counter).map_or(0, |e| e.1);
-            let kind = match step {
-                u64::MAX => SpinFoldKind::Down,
-                1 => SpinFoldKind::Up,
-                _ => return None,
-            };
-            Some(SpinFold { deltas, counter, kind, next: b.next })
-        }
-        _ => None,
-    }
-}
-
 /// Lowers a block's instructions to [`SpinOp`]s. Returns an empty
 /// vector when any instruction falls outside the spin subset (loads,
-/// stores, traps, unresolved targets) — such a block either is not
-/// `mem_free` or ends in a trap terminator, and the spin tier never
-/// runs it.
+/// stores, traps, indirect transfers, unresolved targets) — such a
+/// block is not `mem_free` or cannot chain back to its own entry, and
+/// the spin tier never runs it.
 fn lower_spin(insts: &[BlockInst]) -> Vec<SpinOp> {
     let m = |r: flick_isa::Reg| (r.index() & 31) as u8;
     let rel = |t: Target| match t {
@@ -384,15 +281,13 @@ fn lower_spin(insts: &[BlockInst]) -> Vec<SpinOp> {
                 }
                 None => return Vec::new(),
             },
-            Inst::Jalr { rd, rs1, off } => SpinOp::Jalr {
-                rd: m(rd),
-                rs1: m(rs1),
-                off: off as i64 as u64,
-                next,
-            },
-            Inst::Ret => SpinOp::Ret,
             Inst::Nop => SpinOp::Nop,
-            Inst::Ld { .. } | Inst::St { .. } | Inst::LiSym { .. } | Inst::Ecall { .. }
+            Inst::Jalr { .. }
+            | Inst::Ret
+            | Inst::Ld { .. }
+            | Inst::St { .. }
+            | Inst::LiSym { .. }
+            | Inst::Ecall { .. }
             | Inst::Halt => return Vec::new(),
         };
         ops.push(op);
@@ -436,19 +331,19 @@ pub struct DecodedBlock {
     /// first execution that resolves an edge stores a `Weak` to the
     /// successor block. `Weak` (not `Arc`) so self-loops and cycles —
     /// every hot loop is one — cannot keep invalidated blocks alive
-    /// past a text_gen bump; `OnceLock` keeps the block `Sync`, so an
-    /// `Arc<DecodedBlock>` inside a `Core` still crosses the leg-handoff
-    /// thread boundary. An upgrade failure (the successor's basket was
-    /// evicted) degrades to a shared-cache lookup on that follow.
+    /// past a text_gen bump. `OnceLock` gives the write-once patch
+    /// through a shared `&DecodedBlock` (blocks are `Arc`-shared between
+    /// the cache, the front cache and other blocks' links); `Core` is
+    /// never sent across threads, so its thread safety buys nothing. An
+    /// upgrade failure (the successor's basket was evicted) degrades to
+    /// a shared-cache lookup on that follow.
     pub links: [OnceLock<Weak<DecodedBlock>>; 2],
     /// The block pre-lowered to spin micro-ops ([`SpinOp`]), parallel
-    /// to `insts`, or empty when any instruction falls outside the spin
-    /// subset. Only the charge-free spin tier reads this.
+    /// to `insts`: populated only for memory-free self-loops (a
+    /// successor edge back to the block's own entry), empty otherwise
+    /// or when any instruction falls outside the spin subset. Only the
+    /// spin tier reads this.
     pub spin: Vec<SpinOp>,
-    /// The closed form of this block as an affine self-loop (see
-    /// [`SpinFold`]), when it has one. Only the charge-free spin tier
-    /// reads this.
-    pub fold: Option<SpinFold>,
 }
 
 impl DecodedBlock {
@@ -458,13 +353,6 @@ impl DecodedBlock {
         lower_spin(insts)
     }
 
-    /// Derives the affine-self-loop closed form of a lowered block
-    /// (see [`SpinFold`]); block builders populate the `fold` field
-    /// with this. `entry_off` is the block's first instruction offset
-    /// — only a back-edge to it makes a self-loop.
-    pub fn fold_spin(ops: &[SpinOp], entry_off: u16) -> Option<SpinFold> {
-        fold_spin(ops, entry_off)
-    }
     /// Resolves successor edge `idx` if it has been patched and the
     /// target block is still alive.
     #[inline]
@@ -483,14 +371,13 @@ impl DecodedBlock {
     }
 }
 
-/// One cached text page: decoded instructions and blocks by page offset.
+/// One cached text page: decoded blocks by page offset.
 struct Basket {
     /// Physical frame number this basket caches, or [`NO_PAGE`].
     tag: u64,
-    /// One slot per byte offset (x64-style text places instructions at
+    /// Decoded blocks by the page offset of their first instruction,
+    /// one entry per byte offset (x64-style text places instructions at
     /// arbitrary byte offsets).
-    slots: Vec<Slot>,
-    /// Decoded blocks by the page offset of their first instruction.
     blocks: Vec<Option<Arc<DecodedBlock>>>,
 }
 
@@ -498,7 +385,6 @@ impl Basket {
     fn new() -> Self {
         Basket {
             tag: NO_PAGE,
-            slots: vec![None; PAGE_SIZE as usize],
             blocks: vec![None; PAGE_SIZE as usize],
         }
     }
@@ -520,7 +406,7 @@ fn set_of(pfn: u64) -> usize {
     (pfn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> SHIFT) as usize
 }
 
-/// Physically-indexed decoded-instruction cache. See the module docs for
+/// Physically-indexed decoded-block cache. See the module docs for
 /// keying and invalidation rules.
 pub struct DecodedCache {
     sets: Vec<BasketSet>,
@@ -580,41 +466,14 @@ impl DecodedCache {
         let basket = set.ways[w].get_or_insert_with(|| Box::new(Basket::new()));
         if basket.tag != pfn {
             // Conflict (or first use): repurpose the basket.
-            basket.slots.fill(None);
             basket.blocks.fill(None);
             basket.tag = pfn;
         }
         basket
     }
 
-    /// Looks up the decoded instruction at physical address `pa`,
-    /// validating against the current text generation.
-    pub fn get(&mut self, pa: PhysAddr, text_gen: u64) -> Option<(Inst, u8)> {
-        if !self.check_gen(text_gen) {
-            return None;
-        }
-        let basket = self.find(pa.as_u64() >> PAGE_SHIFT)?;
-        basket.slots[(pa.as_u64() & (PAGE_SIZE - 1)) as usize]
-    }
-
-    /// Records a decode result. The caller must have called [`get`]
-    /// with the current generation this fetch (so the snapshot is
-    /// up to date) and must not cache page-spanning instructions —
-    /// their second-page translation and fetch charge must replay on
-    /// every execution.
-    ///
-    /// [`get`]: DecodedCache::get
-    pub fn put(&mut self, pa: PhysAddr, inst: Inst, len: u8) {
-        debug_assert!(
-            (pa.as_u64() & (PAGE_SIZE - 1)) + len as u64 <= PAGE_SIZE,
-            "page-spanning instructions are not cacheable"
-        );
-        let basket = self.claim(pa.as_u64() >> PAGE_SHIFT);
-        basket.slots[(pa.as_u64() & (PAGE_SIZE - 1)) as usize] = Some((inst, len));
-    }
-
     /// Looks up the decoded block starting at physical address `pa`,
-    /// with the same generation validation as [`get`](Self::get).
+    /// validating against the current text generation.
     pub fn get_block(&mut self, pa: PhysAddr, text_gen: u64) -> Option<Arc<DecodedBlock>> {
         if !self.check_gen(text_gen) {
             return None;
@@ -623,9 +482,12 @@ impl DecodedCache {
         basket.blocks[(pa.as_u64() & (PAGE_SIZE - 1)) as usize].clone()
     }
 
-    /// Records a decoded block starting at `pa`. Same caller contract
-    /// as [`put`](Self::put): the generation snapshot must be current,
-    /// and the block must lie entirely within one page.
+    /// Records a decoded block starting at `pa`. The caller must have
+    /// called [`get_block`](Self::get_block) with the current generation
+    /// (so the snapshot is up to date), and the block must lie entirely
+    /// within one page — page-spanning instructions never enter a block,
+    /// since their second-page translation and fetch charge must replay
+    /// on every execution.
     pub fn put_block(&mut self, pa: PhysAddr, block: Arc<DecodedBlock>) {
         debug_assert!(!block.insts.is_empty(), "blocks are never empty");
         // Superblocks decode through direct jumps, so offsets are not
@@ -649,9 +511,8 @@ impl DecodedCache {
         basket.blocks[(pa.as_u64() & (PAGE_SIZE - 1)) as usize] = Some(block);
     }
 
-    /// Drops every cached decode (CR3 switch, TLB flush/shootdown).
-    /// O(sets): slots and blocks are lazily scrubbed when a basket is
-    /// reused.
+    /// Drops every cached block (a text generation change). O(sets):
+    /// blocks are lazily scrubbed when a basket is reused.
     pub fn clear(&mut self) {
         for set in &mut self.sets {
             for b in set.ways.iter_mut().flatten() {
@@ -664,14 +525,6 @@ impl DecodedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flick_isa::Reg;
-
-    fn inst(i: u64) -> Inst {
-        Inst::Li {
-            rd: Reg::new(1),
-            imm: i as i64,
-        }
-    }
 
     fn block(off: u16) -> Arc<DecodedBlock> {
         Arc::new(DecodedBlock {
@@ -689,8 +542,12 @@ mod tests {
             succ_off: [NO_SUCC; 2],
             links: [OnceLock::new(), OnceLock::new()],
             spin: Vec::new(),
-            fold: None,
         })
+    }
+
+    /// True when the cache holds exactly `b` at `pa` under `gen`.
+    fn holds(c: &mut DecodedCache, pa: PhysAddr, gen: u64, b: &Arc<DecodedBlock>) -> bool {
+        c.get_block(pa, gen).is_some_and(|got| Arc::ptr_eq(&got, b))
     }
 
     /// Three pfns that hash into the same set (sharing one set of two
@@ -713,25 +570,25 @@ mod tests {
     #[test]
     fn hit_after_put() {
         let mut c = DecodedCache::new();
-        assert_eq!(c.get(PhysAddr(0x40_0010), 0), None);
-        c.put(PhysAddr(0x40_0010), inst(7), 10);
-        assert_eq!(c.get(PhysAddr(0x40_0010), 0), Some((inst(7), 10)));
-        assert_eq!(c.get(PhysAddr(0x40_0011), 0), None);
+        let b = block(0x10);
+        assert!(c.get_block(PhysAddr(0x40_0010), 0).is_none());
+        c.put_block(PhysAddr(0x40_0010), Arc::clone(&b));
+        assert!(holds(&mut c, PhysAddr(0x40_0010), 0, &b));
+        assert!(c.get_block(PhysAddr(0x40_0011), 0).is_none());
     }
 
     #[test]
     fn generation_bump_invalidates_everything() {
         let mut c = DecodedCache::new();
-        c.get(PhysAddr(0x1000), 0);
-        c.put(PhysAddr(0x1000), inst(1), 4);
-        c.put(PhysAddr(0x2000), inst(2), 4);
+        c.get_block(PhysAddr(0x1000), 0);
         c.put_block(PhysAddr(0x1000), block(0));
-        assert_eq!(c.get(PhysAddr(0x1000), 1), None, "stale gen must miss");
-        assert_eq!(c.get(PhysAddr(0x2000), 1), None);
-        assert!(c.get_block(PhysAddr(0x1000), 1).is_none());
+        c.put_block(PhysAddr(0x2000), block(0));
+        assert!(c.get_block(PhysAddr(0x1000), 1).is_none(), "stale gen must miss");
+        assert!(c.get_block(PhysAddr(0x2000), 1).is_none());
         // Re-populated under the new generation.
-        c.put(PhysAddr(0x1000), inst(3), 4);
-        assert_eq!(c.get(PhysAddr(0x1000), 1), Some((inst(3), 4)));
+        let b = block(0);
+        c.put_block(PhysAddr(0x1000), Arc::clone(&b));
+        assert!(holds(&mut c, PhysAddr(0x1000), 1, &b));
     }
 
     #[test]
@@ -742,11 +599,12 @@ mod tests {
         let [p0, p1, _] = colliding_pfns();
         let a = PhysAddr(p0 << PAGE_SHIFT);
         let b = PhysAddr(p1 << PAGE_SHIFT);
-        c.get(a, 0);
-        c.put(a, inst(1), 4);
-        c.put(b, inst(2), 4);
-        assert_eq!(c.get(a, 0), Some((inst(1), 4)), "both ways live");
-        assert_eq!(c.get(b, 0), Some((inst(2), 4)));
+        let (ba, bb) = (block(0), block(0));
+        c.get_block(a, 0);
+        c.put_block(a, Arc::clone(&ba));
+        c.put_block(b, Arc::clone(&bb));
+        assert!(holds(&mut c, a, 0, &ba), "both ways live");
+        assert!(holds(&mut c, b, 0, &bb));
     }
 
     #[test]
@@ -756,18 +614,20 @@ mod tests {
         let a = PhysAddr(p0 << PAGE_SHIFT);
         let b = PhysAddr(p1 << PAGE_SHIFT);
         let d = PhysAddr(p2 << PAGE_SHIFT);
-        c.get(a, 0);
-        c.put(a, inst(1), 4);
-        c.put(b, inst(2), 4);
-        c.get(a, 0); // touch a: b becomes LRU
-        c.put(d, inst(3), 4); // evicts b
-        assert_eq!(c.get(b, 0), None, "LRU page evicted by the third");
-        assert_eq!(c.get(a, 0), Some((inst(1), 4)));
-        assert_eq!(c.get(d, 0), Some((inst(3), 4)));
+        let (ba, bd) = (block(0), block(0));
+        c.get_block(a, 0);
+        c.put_block(a, Arc::clone(&ba));
+        c.put_block(b, block(0));
+        c.put_block(PhysAddr(b.as_u64() + 8), block(8));
+        c.get_block(a, 0); // touch a: b becomes LRU
+        c.put_block(d, Arc::clone(&bd)); // evicts b
+        assert!(c.get_block(b, 0).is_none(), "LRU page evicted by the third");
+        assert!(holds(&mut c, a, 0, &ba));
+        assert!(holds(&mut c, d, 0, &bd));
         // And the offsets from the old page must not leak into the new.
-        assert_eq!(c.get(PhysAddr(d.as_u64() + 8), 0), None);
-        c.put(b, inst(4), 4);
-        assert_eq!(c.get(PhysAddr(b.as_u64() + 8), 0), None);
+        assert!(c.get_block(PhysAddr(d.as_u64() + 8), 0).is_none());
+        c.put_block(b, block(0));
+        assert!(c.get_block(PhysAddr(b.as_u64() + 8), 0).is_none());
     }
 
     #[test]
@@ -808,11 +668,11 @@ mod tests {
     #[test]
     fn clear_drops_all() {
         let mut c = DecodedCache::new();
-        c.get(PhysAddr(0x5000), 0);
-        c.put(PhysAddr(0x5000), inst(9), 2);
+        c.get_block(PhysAddr(0x5000), 0);
         c.put_block(PhysAddr(0x5000), block(0));
+        c.put_block(PhysAddr(0x6010), block(0x10));
         c.clear();
-        assert_eq!(c.get(PhysAddr(0x5000), 0), None);
         assert!(c.get_block(PhysAddr(0x5000), 0).is_none());
+        assert!(c.get_block(PhysAddr(0x6010), 0).is_none());
     }
 }

@@ -9,6 +9,13 @@ cargo build --release --benches
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The paper-workload benchmark is its own crate outside the workspace:
+# its parity suite proves the benchmark's guest programs still match
+# the library runners, and its determinism suite that runs repeat bit
+# for bit. A simulator change that breaks either fails here rather
+# than in a benchmark run.
+cargo test -q --release --offline --manifest-path paperbench/Cargo.toml
+
 # Smoke-run the bench harness (1 sample) and gate the cheap, stable
 # benches against the committed baseline: a >30% regression of the
 # interpreter or the 1-NxP migration path fails CI loudly, and any

@@ -230,31 +230,102 @@ fn random_programs_step_vs_block_identical() {
     }
 }
 
-/// The bench interpreter loop (4-instruction blocks ending in a taken
-/// branch) at **every** fuel cutoff: fuel must expire on exactly the
-/// same instruction whether or not that instruction sits mid-block.
+/// Emits one loop shape; `halt` follows the loop.
+type LoopShape = fn(&mut FuncBuilder);
+
+/// Self-loop shapes the block lane and its spin tier must replay
+/// bit-identically, each with the fuel at which it halts (`None`: it
+/// never halts within the swept fuel).
+const LOOP_SHAPES: [(&str, LoopShape, Option<u64>); 5] = [
+    // The bench interpreter loop: 4-instruction blocks ending in a
+    // taken branch. 1 li + 12 iterations of 4 + halt.
+    ("countdown", countdown_loop, Some(50)),
+    // The `interpret_hotloop` body: a cross-register add plus the
+    // decrement. 1 li + 12 iterations of 3 + halt.
+    ("cross-register", cross_register_loop, Some(38)),
+    // `addi n, n, 1; bne n, r0` from -12 up to the wrap to zero.
+    ("up-counting", up_counting_loop, Some(38)),
+    // A countdown entered with its counter at 0: wraps first, so only
+    // fuel ever ends it.
+    ("zero-entry countdown", zero_entry_loop, None),
+    // A body long enough to cross an I-cache line on every ISA, so each
+    // iteration charges the I-cache. 1 li + 3 iterations of 22 + halt.
+    ("line-crossing", line_crossing_loop, Some(68)),
+];
+
+fn countdown_loop(f: &mut FuncBuilder) {
+    let lp = f.new_label();
+    f.li(abi::S1, 12);
+    f.bind(lp);
+    f.addi(abi::A0, abi::A0, 1);
+    f.addi(abi::A1, abi::A1, 2);
+    f.addi(abi::S1, abi::S1, -1);
+    f.bne(abi::S1, abi::ZERO, lp);
+}
+
+fn cross_register_loop(f: &mut FuncBuilder) {
+    let lp = f.new_label();
+    f.li(abi::S1, 12);
+    f.bind(lp);
+    f.add(abi::A0, abi::A0, abi::A1);
+    f.addi(abi::S1, abi::S1, -1);
+    f.bne(abi::S1, abi::ZERO, lp);
+}
+
+fn up_counting_loop(f: &mut FuncBuilder) {
+    let lp = f.new_label();
+    f.li(abi::S1, -12);
+    f.bind(lp);
+    f.addi(abi::A0, abi::A0, 1);
+    f.addi(abi::S1, abi::S1, 1);
+    f.bne(abi::S1, abi::ZERO, lp);
+}
+
+fn zero_entry_loop(f: &mut FuncBuilder) {
+    let lp = f.new_label();
+    f.li(abi::S1, 0);
+    f.bind(lp);
+    f.addi(abi::S1, abi::S1, -1);
+    f.bne(abi::S1, abi::ZERO, lp);
+}
+
+/// Instructions in [`line_crossing_loop`]'s body before the decrement:
+/// at 4 bytes or more each, the body spans more than one 64-byte line.
+const LONG_BODY: i32 = 20;
+
+fn line_crossing_loop(f: &mut FuncBuilder) {
+    let lp = f.new_label();
+    f.li(abi::S1, 3);
+    f.bind(lp);
+    for i in 0..LONG_BODY {
+        f.addi(abi::A0, abi::A1, i);
+    }
+    f.addi(abi::S1, abi::S1, -1);
+    f.bne(abi::S1, abi::ZERO, lp);
+}
+
+/// Every [`LOOP_SHAPES`] entry at **every** fuel cutoff: fuel must
+/// expire on exactly the same instruction whether or not that
+/// instruction sits mid-block or mid-spin-batch. Two large budgets on
+/// top let the spin tier run long batches.
 #[test]
 fn tight_loop_identical_at_every_fuel_cutoff() {
-    for target in [TargetIsa::Host, TargetIsa::Nxp, TargetIsa::Arm64] {
-        let mut f = FuncBuilder::new("t", target);
-        let lp = f.new_label();
-        f.li(abi::S1, 12);
-        f.bind(lp);
-        f.addi(abi::A0, abi::A0, 1);
-        f.addi(abi::A1, abi::A1, 2);
-        f.addi(abi::S1, abi::S1, -1);
-        f.bne(abi::S1, abi::ZERO, lp);
-        f.halt();
-        let bytes = isa_of(target).encode(&f.finish()).unwrap().bytes;
-        let mut halted = None;
-        for fuel in 0..=60 {
-            let s = diff_run(target, &bytes, fuel, "tight loop");
-            if s.stop == StopReason::Halt && halted.is_none() {
-                halted = Some(fuel);
+    for (name, shape, halts_at) in LOOP_SHAPES {
+        for target in [TargetIsa::Host, TargetIsa::Nxp, TargetIsa::Arm64] {
+            let mut f = FuncBuilder::new("t", target);
+            shape(&mut f);
+            f.halt();
+            let bytes = isa_of(target).encode(&f.finish()).unwrap().bytes;
+            let last = halts_at.unwrap_or(60) + 10;
+            let mut halted = None;
+            for fuel in (0..=last).chain([1_000, 10_007]) {
+                let s = diff_run(target, &bytes, fuel, name);
+                if s.stop == StopReason::Halt && halted.is_none() {
+                    halted = Some(fuel);
+                }
             }
+            assert_eq!(halted, halts_at, "{name} {target:?}: loop retired a wrong count");
         }
-        // 1 li + 12 iterations of 4 + halt.
-        assert_eq!(halted, Some(50), "{target:?}: loop retired a wrong count");
     }
 }
 
