@@ -82,12 +82,12 @@ pub fn host_migration_handler() -> flick_isa::Func {
     f.ld(abi::A3, abi::S0, (L::ARGS + 24) as i32, MemSize::B8);
     f.ld(abi::A4, abi::S0, (L::ARGS + 32) as i32, MemSize::B8);
     f.ld(abi::A5, abi::S0, (L::ARGS + 40) as i32, MemSize::B8);
-    f.call_reg(abi::T2); // host_rtn = call_target_host_func(args)
+    f.call_reg(abi::T2); // host_ret = call_target_host_func(args)
     f.st(abi::A0, abi::S0, L::RET as i32, MemSize::B8);
     f.ecall(svc::MIGRATE_RETURN_AND_SUSPEND);
     f.jmp(lp);
 
-    // return nxp_rtn;                                   (lines 13-14)
+    // return nxp_ret;                                   (lines 13-14)
     f.bind(done);
     f.ld(abi::A0, abi::S0, L::RET as i32, MemSize::B8);
     f.ld(abi::RA, abi::SP, 0, MemSize::B8);
@@ -143,12 +143,12 @@ pub fn nxp_migration_handler_for(isa: TargetIsa) -> flick_isa::Func {
     f.ld(abi::A3, abi::S0, (L::ARGS + 24) as i32, MemSize::B8);
     f.ld(abi::A4, abi::S0, (L::ARGS + 32) as i32, MemSize::B8);
     f.ld(abi::A5, abi::S0, (L::ARGS + 40) as i32, MemSize::B8);
-    f.call_reg(abi::T2); // nxp_rtn = call_target_nxp_func(args)
+    f.call_reg(abi::T2); // nxp_ret = call_target_nxp_func(args)
     f.st(abi::A0, abi::S0, L::RET as i32, MemSize::B8);
     f.ecall(svc::NXP_RETURN_AND_SWITCH);
     f.jmp(lp);
 
-    // return host_rtn;                                  (lines 11-12)
+    // return host_ret;                                  (lines 11-12)
     f.bind(done);
     f.ld(abi::A0, abi::S0, L::RET as i32, MemSize::B8);
     f.ld(abi::RA, abi::SP, 0, MemSize::B8);

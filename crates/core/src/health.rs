@@ -138,11 +138,6 @@ impl HealthMonitor {
             .filter(|(_, h)| h.breaker != BreakerState::Open)
             .map(|(i, _)| i)
     }
-
-    /// Number of NxPs whose breaker is not open.
-    pub fn live_count(&self) -> usize {
-        self.live().count()
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +166,7 @@ mod tests {
         hm.rejoin(1);
         assert_eq!(hm.state(1), BreakerState::HalfOpen);
         assert_eq!(hm.health(1).consecutive_failures, 0);
-        assert_eq!(hm.live_count(), 2);
+        assert_eq!(hm.live().count(), 2);
         hm.note_activity(1, Picos::from_micros(10));
         assert_eq!(hm.state(1), BreakerState::Closed);
         assert_eq!(hm.health(1).recoveries, 1);

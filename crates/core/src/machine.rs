@@ -11,7 +11,7 @@
 use crate::descriptor::{DescKind, MigrationDescriptor};
 use crate::handlers;
 use crate::health::{BreakerState, HealthMonitor};
-use crate::nxp::{NxpRuntime, NxpTiming};
+use crate::nxp::{NxpThread, NxpTiming};
 use crate::services::{self as svc, desc_layout as L};
 use crate::serving::{ServingCompletion, ServingCtx, ServingReport, ServingRequest};
 use crate::topology::{NxpPlacement, Topology};
@@ -160,7 +160,7 @@ pub struct Outcome {
 /// when the image was linked without functions of that ISA. The host
 /// ISA's slot is always `None` — host-side migration goes through
 /// `host_handler`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct ProcessVas {
     host_handler: VirtAddr,
     accel: [Option<(VirtAddr, VirtAddr)>; flick_isa::IsaId::COUNT],
@@ -171,6 +171,41 @@ impl ProcessVas {
     fn accel_handlers(&self, isa: IsaId) -> Option<(VirtAddr, VirtAddr)> {
         self.accel[isa.tag() as usize]
     }
+}
+
+/// Everything the machine keeps about one thread beyond its kernel
+/// `task_struct`: the host driver's migration bookkeeping and the NxP
+/// scheduler's saved context. [`Machine::load`] and request spawn
+/// create the record; a finished serving request drops it with one
+/// `remove`.
+#[derive(Debug, Default)]
+struct ThreadState {
+    /// The handler table the thread migrates through.
+    vas: ProcessVas,
+    /// Span id of the thread's current suspension round trip.
+    span: Option<u64>,
+    /// Time and host core of the thread's latest NX fault, stashed so
+    /// the span that opens at the migrate `ioctl` can backdate its
+    /// first mark to the trigger.
+    nx_fault: Option<(Picos, usize)>,
+    /// Which NxPs hold the thread's accelerator continuations,
+    /// outermost first: return legs always follow the thread back to
+    /// the innermost (last) entry. Depth exceeds one only when a
+    /// cross-accelerator call bounces through the host while an outer
+    /// frame stays parked on its own NxP.
+    continuations: Vec<usize>,
+    /// Channel and wire bytes of the thread's most recent host→NxP
+    /// descriptor, retained by the host driver until the round trip
+    /// completes. When an NxP dies mid-round-trip its device-side state
+    /// (including the retained NxP→host bytes) dies with it, and this
+    /// copy is what failover re-executes on a surviving NxP.
+    sent_h2n: Option<(usize, Vec<u8>)>,
+    /// Channel and wire bytes of the thread's in-flight NxP→host
+    /// descriptor, retained until acceptance so the host can demand
+    /// retransmission.
+    sent_n2h: Option<(usize, Vec<u8>)>,
+    /// The NxP scheduler's saved state for this thread.
+    nxp: NxpThread,
 }
 
 /// Maps a PTE ISA tag (stored as `tag + 1`; `0` = untagged) to the
@@ -544,26 +579,20 @@ impl MachineBuilder {
             fabric: PcieFabric::new(env.latency.clone(), topology.nxp_cores()),
             irq: InterruptController::new(),
             kernel,
-            nxp_rt: NxpRuntime::new(),
             nxp_timing: self.nxp_timing.unwrap_or_else(NxpTiming::paper_default),
             trace: Trace::new(self.trace.unwrap_or_default()),
             stats: Stats::default(),
-            vas: HashMap::new(),
+            threads: HashMap::new(),
             symbols: HashMap::new(),
             plan: self.fault_plan.unwrap_or_else(FaultPlan::none),
             emus: (0..topology.host_cores()).map(|_| None).collect(),
             chans: vec![ChannelSeqs::default(); topology.nxp_cores()],
-            retained_n2h: HashMap::new(),
-            retained_h2n: HashMap::new(),
             health: HealthMonitor::new(topology.nxp_cores()),
-            nxp_of: HashMap::new(),
             placement: self.nxp_placement.unwrap_or_default(),
             rr_next: 0,
             obs: SpanRecorder::new(self.observability.unwrap_or(false)),
             obs_stats: Stats::default(),
             next_span: 1,
-            span_of: HashMap::new(),
-            last_nx_fault: HashMap::new(),
             retired: 0,
             retired_emu_insts: 0,
             serving: None,
@@ -594,11 +623,14 @@ pub struct Machine {
     fabric: PcieFabric,
     irq: InterruptController,
     kernel: Kernel,
-    nxp_rt: NxpRuntime,
     nxp_timing: NxpTiming,
     trace: Trace,
     stats: Stats,
-    vas: HashMap<u64, ProcessVas>,
+    /// Per-thread state by pid (see [`ThreadState`]). Every access is
+    /// a point lookup; nothing iterates it.
+    threads: HashMap<u64, ThreadState>,
+    /// Linker symbols of each image [`Machine::load`] mapped, by the
+    /// pid it was loaded as.
     symbols: HashMap<u64, std::collections::BTreeMap<String, u64>>,
     /// Seeded fault injection for the interconnect (inactive by
     /// default).
@@ -608,26 +640,10 @@ pub struct Machine {
     emus: Vec<Option<Core>>,
     /// Per-channel sequence-number state (one entry per NxP).
     chans: Vec<ChannelSeqs>,
-    /// Channel and wire bytes of each thread's in-flight NxP→host
-    /// descriptor, retained until acceptance so the host can demand
-    /// retransmission.
-    retained_n2h: HashMap<u64, (usize, Vec<u8>)>,
-    /// Channel and wire bytes of each thread's most recent host→NxP
-    /// descriptor, retained by the host driver until the round trip
-    /// completes. When an NxP dies mid-round-trip its device-side state
-    /// (including the retained NxP→host bytes) dies with it, and this
-    /// copy is what failover re-executes on a surviving NxP.
-    retained_h2n: HashMap<u64, (usize, Vec<u8>)>,
     /// Per-NxP liveness and circuit-breaker state, driven purely by
     /// *observed* delivery failures/successes on the deterministic
     /// timeline — never by peeking at the fault schedule.
     health: HealthMonitor,
-    /// Which NxPs hold each thread's accelerator continuations,
-    /// outermost first: return legs always follow the thread back to
-    /// the innermost (last) entry. Depth exceeds one only when a
-    /// cross-accelerator call bounces through the host while an outer
-    /// frame stays parked on its own NxP.
-    nxp_of: HashMap<u64, Vec<usize>>,
     /// Placement policy for fresh host→NxP calls.
     placement: NxpPlacement,
     /// Round-robin cursor for [`NxpPlacement::RoundRobin`].
@@ -642,12 +658,6 @@ pub struct Machine {
     /// wire bytes whether or not recording is on, which is what makes
     /// the observability toggle bit-inert.
     next_span: u64,
-    /// Span id of each thread's current suspension round trip.
-    span_of: HashMap<u64, u64>,
-    /// Time and host core of each thread's latest NX fault, stashed so
-    /// the span that opens at the migrate `ioctl` can backdate its
-    /// first mark to the trigger.
-    last_nx_fault: HashMap<u64, (Picos, usize)>,
     /// Running total of instructions retired across the whole fleet
     /// (hosts, NxPs, emulators). Bumped after every `Core::run` so the
     /// scheduling loop's fuel accounting reads one field instead of
@@ -727,7 +737,7 @@ impl Machine {
             accel,
         };
         let pid = self.kernel.create_process(&mut self.mem, image)?;
-        self.vas.insert(pid, vas);
+        self.threads.insert(pid, ThreadState { vas, ..Default::default() });
         self.symbols.insert(pid, image.symbols.clone());
         Ok(pid)
     }
@@ -792,11 +802,6 @@ impl Machine {
     /// machine was built with [`MachineBuilder::observability`].
     pub fn spans(&self) -> &[Span] {
         self.obs.spans()
-    }
-
-    /// Whether the migration observability layer is recording.
-    pub fn observability_enabled(&self) -> bool {
-        self.obs.enabled()
     }
 
     /// The observability histograms and gauges recorded so far (empty
@@ -920,17 +925,6 @@ impl Machine {
     /// window or the pid is unknown.
     pub fn stage_alloc_nxp(&mut self, pid: u64, size: u64) -> Result<VirtAddr, RunError> {
         Ok(self.kernel.alloc_nxp_heap(pid, size)?)
-    }
-
-    /// Allocates host heap for `pid` without charging simulated time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping failures.
-    pub fn stage_alloc_host(&mut self, pid: u64, size: u64) -> Result<VirtAddr, RunError> {
-        self.kernel
-            .alloc_host_heap(&mut self.mem, pid, size)
-            .map_err(RunError::Load)
     }
 
     /// Writes user memory without charging simulated time (staging).
@@ -1359,25 +1353,19 @@ impl Machine {
                             fault_va: va.as_u64(),
                         },
                     );
+                    let now = self.hosts[hc].clock().now();
+                    let thread = self.thread_mut(pid)?;
                     // The span opens only at the migrate ioctl (where
                     // its id is assigned); stash the trigger so the
                     // first mark can be backdated to the fault itself.
-                    self.last_nx_fault
-                        .insert(pid, (self.hosts[hc].clock().now(), hc));
+                    thread.nx_fault = Some((now, hc));
+                    let handler = thread.vas.host_handler;
                     let t = self.kernel.timing().page_fault_path;
                     self.hosts[hc].clock_mut().advance(t);
                     if self.kernel.task(pid)?.degraded {
                         let used = self.executed() - start_insts;
                         self.emulate_segment(hc, pid, va, fuel.saturating_sub(used))?;
                     } else {
-                        let handler = self
-                            .vas
-                            .get(&pid)
-                            .ok_or(RunError::Protocol {
-                                side: Side::Host,
-                                context: "NX fault in a process with no handler table",
-                            })?
-                            .host_handler;
                         self.kernel
                             .redirect_to_handler(pid, &mut self.hosts[hc], va, handler)?;
                     }
@@ -1564,9 +1552,11 @@ impl Machine {
         let pid = self.kernel.spawn_task(proto)?;
         // The request task migrates through its tenant's handler table
         // (same address space, same handler VAs).
-        if let Some(v) = self.vas.get(&proto).copied() {
-            self.vas.insert(pid, v);
-        }
+        let vas = self.threads.get(&proto).map(|t| t.vas).ok_or(RunError::Protocol {
+            side: Side::Host,
+            context: "request spawned from a tenant with no handler table",
+        })?;
+        self.threads.insert(pid, ThreadState { vas, ..Default::default() });
         let task = self.kernel.task_mut(pid)?;
         // The request argument rides in A0: the tenant program's
         // `main` dispatches on it (request kind, key, …). Spawning
@@ -1596,12 +1586,7 @@ impl Machine {
         code: u64,
         rq: &mut RunQueues,
     ) -> Result<(), RunError> {
-        self.span_of.remove(&pid);
-        self.nxp_of.remove(&pid);
-        self.retained_n2h.remove(&pid);
-        self.retained_h2n.remove(&pid);
-        self.last_nx_fault.remove(&pid);
-        self.vas.remove(&pid);
+        self.threads.remove(&pid);
         let now = self.hosts[hc].clock().now();
         let ctx = self.serving.as_mut().ok_or(RunError::Protocol {
             side: Side::Host,
@@ -1764,9 +1749,9 @@ impl Machine {
         // placement policy says.
         let nc = match kind {
             DescKind::HostToNxpReturn => {
-                self.nxp_of
+                self.threads
                     .get(&pid)
-                    .and_then(|stack| stack.last().copied())
+                    .and_then(|t| t.continuations.last().copied())
                     .ok_or(RunError::Protocol {
                         side: Side::Host,
                         context: "return leg for a thread with no NxP continuation",
@@ -1827,7 +1812,7 @@ impl Machine {
                         .min_by_key(|&k| (self.nxps[k].clock().now(), k))
                         .unwrap_or(pool[0]),
                 };
-                self.nxp_of.entry(pid).or_default().push(nc);
+                self.thread_mut(pid)?.continuations.push(nc);
                 nc
             }
         };
@@ -1838,7 +1823,7 @@ impl Machine {
         // span *recording* is enabled (bit-inert observability).
         let span = self.next_span;
         self.next_span += 1;
-        self.span_of.insert(pid, span);
+        self.thread_mut(pid)?.span = Some(span);
         let desc = match kind {
             DescKind::HostToNxpCall => {
                 let task = self.kernel.task_mut(pid)?;
@@ -1906,7 +1891,7 @@ impl Machine {
         self.kernel.suspend_for_migration(pid, &self.hosts[hc])?;
         self.hosts[hc].clock_mut().advance(timing.suspend_and_switch);
         self.obs.begin(span, pid, kind.label());
-        if let Some((at, core)) = self.last_nx_fault.remove(&pid) {
+        if let Some((at, core)) = self.thread_mut(pid)?.nx_fault.take() {
             self.obs.mark(span, SpanStage::NxFault, at, CoreId::host(core));
         }
         self.obs.mark(
@@ -1939,7 +1924,7 @@ impl Machine {
         // this copy is what failover re-executes on a survivor.
         let mut nc = nc;
         let mut desc = desc;
-        self.retained_h2n.insert(pid, (nc, desc.to_bytes()));
+        self.thread_mut(pid)?.sent_h2n = Some((nc, desc.to_bytes()));
 
         // Host→NxP delivery: kick the DMA, let the NxP scheduler pick
         // the burst up, and retransmit — bounded, with exponential
@@ -1970,19 +1955,19 @@ impl Machine {
                             },
                         );
                         nc = next;
-                        self.set_continuation_top(pid, nc);
                         desc.seq = self.chans[nc].h2n;
                         self.chans[nc].h2n += 1;
-                        self.retained_h2n.insert(pid, (nc, desc.to_bytes()));
+                        self.set_continuation_top(pid, nc, &desc)?;
                         attempt = 0;
                         continue;
                     }
                 }
                 // Pure link death, or the whole fleet is gone: degrade
                 // a call to host-side emulation, fail a return leg.
-                self.retained_h2n.remove(&pid);
+                let thread = self.thread_mut(pid)?;
+                thread.sent_h2n = None;
                 return if kind == DescKind::HostToNxpCall {
-                    self.span_of.remove(&pid);
+                    thread.span = None;
                     self.obs.abandon(span);
                     self.degrade_unwind(hc, pid, &desc)?;
                     Ok(EcallFlow::Resume)
@@ -2161,15 +2146,32 @@ impl Machine {
             .min_by_key(|&k| (self.nxps[k].clock().now(), k))
     }
 
-    /// Repoints the innermost continuation of `pid` at `nc` (delivery
-    /// retries and failover re-executions move a leg between NxPs
-    /// without changing nesting depth).
-    fn set_continuation_top(&mut self, pid: u64, nc: usize) {
-        let stack = self.nxp_of.entry(pid).or_default();
-        match stack.last_mut() {
+    /// The per-thread record of `pid`. Every task the machine runs has
+    /// one from load or spawn until its serving exit.
+    fn thread_mut(&mut self, pid: u64) -> Result<&mut ThreadState, RunError> {
+        self.threads.get_mut(&pid).ok_or(RunError::Protocol {
+            side: Side::Host,
+            context: "host-side migration by a thread with no per-thread record",
+        })
+    }
+
+    /// Moves `pid`'s open leg to NxP `nc` with the re-stamped `desc`:
+    /// repoints the innermost continuation (delivery retries and
+    /// failover re-executions move a leg between NxPs without changing
+    /// nesting depth) and retains the new wire bytes.
+    fn set_continuation_top(
+        &mut self,
+        pid: u64,
+        nc: usize,
+        desc: &MigrationDescriptor,
+    ) -> Result<(), RunError> {
+        let thread = self.thread_mut(pid)?;
+        match thread.continuations.last_mut() {
             Some(top) => *top = nc,
-            None => stack.push(nc),
+            None => thread.continuations.push(nc),
         }
+        thread.sent_h2n = Some((nc, desc.to_bytes()));
+        Ok(())
     }
 
     /// Records trace events and counters for injected burst faults.
@@ -2281,7 +2283,7 @@ impl Machine {
                             context: "expected wake-up MSI was not queued",
                         });
                     };
-                    if let Some(&span) = self.span_of.get(&pid) {
+                    if let Some(span) = self.threads.get(&pid).and_then(|t| t.span) {
                         self.obs
                             .mark(span, SpanStage::MsiDelivery, now, CoreId::host(hc));
                     }
@@ -2384,7 +2386,9 @@ impl Machine {
                             stage: "nxp-to-host",
                         });
                     }
-                    let Some((chan, bytes)) = self.retained_n2h.get(&pid).cloned() else {
+                    let Some((chan, bytes)) =
+                        self.threads.get(&pid).and_then(|t| t.sent_n2h.clone())
+                    else {
                         return Err(RunError::Protocol {
                             side: Side::Host,
                             context: "no retained descriptor to retransmit",
@@ -2434,7 +2438,7 @@ impl Machine {
     ) -> Result<Option<PendingWake>, RunError> {
         let timing = self.kernel.timing().clone();
         self.refresh_fleet(hc);
-        let Some((dead, bytes)) = self.retained_h2n.get(&pid).cloned() else {
+        let Some((dead, bytes)) = self.threads.get(&pid).and_then(|t| t.sent_h2n.clone()) else {
             return Err(RunError::Protocol {
                 side: Side::Host,
                 context: "no retained descriptor to re-execute",
@@ -2452,8 +2456,7 @@ impl Machine {
             };
             desc.seq = self.chans[nc].h2n;
             self.chans[nc].h2n += 1;
-            self.set_continuation_top(pid, nc);
-            self.retained_h2n.insert(pid, (nc, desc.to_bytes()));
+            self.set_continuation_top(pid, nc, &desc)?;
             self.stats.bump("failover_reexecutions");
             self.trace.record_on(
                 CoreId::host(hc),
@@ -2564,8 +2567,9 @@ impl Machine {
                 Err(_) => {
                     self.stats.bump("crc_rejects");
                     let seq = self
-                        .retained_n2h
+                        .threads
                         .get(&pid)
+                        .and_then(|t| t.sent_n2h.as_ref())
                         .and_then(|(_, b)| MigrationDescriptor::from_bytes(b))
                         .map_or(0, |d| d.seq);
                     self.trace.record_on(
@@ -2619,7 +2623,11 @@ impl Machine {
                         self.hosts[hc].clock().now(),
                         Event::ThreadWoken { pid },
                     );
-                    if let Some(span) = self.span_of.remove(&pid) {
+                    let thread = self.thread_mut(pid)?;
+                    let span = thread.span.take();
+                    thread.sent_n2h = None;
+                    thread.sent_h2n = None;
+                    if let Some(span) = span {
                         self.obs.mark(
                             span,
                             SpanStage::Woken,
@@ -2640,8 +2648,6 @@ impl Machine {
                                 .record_hist("span:total", s.total().as_picos());
                         }
                     }
-                    self.retained_n2h.remove(&pid);
-                    self.retained_h2n.remove(&pid);
                     self.health.note_activity(chan, now);
                     return Ok(HostAccept::Woken(d.seq));
                 }
@@ -2942,19 +2948,20 @@ impl Machine {
     ) -> Result<PendingWake, RunError> {
         let nt = &self.nxp_timing;
         let nxp_stack_ptr = self.kernel.task(pid)?.nxp_stack_ptr.as_u64();
+        let desc_phys = self.nxp_desc_phys();
+        let on = CoreId::nxp(nc);
+        let state = self.threads.get_mut(&pid).ok_or(RunError::Protocol {
+            side: Side::Nxp,
+            context: "descriptor for a process with no handler table",
+        })?;
         // The leg runs on this slot's ISA: take that ISA's migration
         // handler pair. A program without functions of the slot's ISA
         // has no such handlers — any exec fault on the leg then fails
         // loudly instead of jumping through a wrong-ISA handler.
-        let handlers = self
-            .vas
-            .get(&pid)
-            .and_then(|v| v.accel_handlers(self.nxp_isas[nc]));
-        let span = self.span_of.get(&pid).copied().unwrap_or(0);
-        let desc_phys = self.nxp_desc_phys();
-        let on = CoreId::nxp(nc);
+        let handlers = state.vas.accel_handlers(self.nxp_isas[nc]);
+        let span = state.span.unwrap_or(0);
+        let thread = &mut state.nxp;
         let core = &mut self.nxps[nc];
-        let thread = self.nxp_rt.thread_mut(pid);
 
         // Land the descriptor in the NxP-local buffer the handler reads.
         self.mem.write_bytes(desc_phys, &in_bytes);
@@ -3155,12 +3162,10 @@ impl Machine {
         // innermost continuation. (An escalated call keeps the frame
         // parked here — the entry stays until that frame returns.)
         if out.kind == DescKind::NxpToHostReturn {
-            if let Some(stack) = self.nxp_of.get_mut(&pid) {
-                stack.pop();
-            }
+            state.continuations.pop();
         }
+        state.sent_n2h = Some((nc, bytes.clone()));
         self.obs.mark(out.span, SpanStage::NxpSubmit, now, on);
-        self.retained_n2h.insert(pid, (nc, bytes.clone()));
         // A crashed or unplugged device cannot DMA its reply out — the
         // burst and its MSI die on the card. (A *hung* one still can:
         // the link is up, only the inbound poll loop stopped.) The
@@ -3657,5 +3662,32 @@ mod tests {
         assert!(out.stats.get("instructions") > 0, "host instructions");
         assert!(out.stats.get("nxp_instructions") > 0, "nxp instructions");
         assert!(out.stats.get("nxp_itlb_misses") > 0);
+    }
+
+    /// A finished serving request leaves nothing behind: after a run
+    /// whose every request migrated, the per-thread table holds only
+    /// the tenant prototypes it started with.
+    #[test]
+    fn serving_exit_drops_each_request_record() {
+        let mut m = machine();
+        let tenants: Vec<u64> = (0..2)
+            .map(|_| m.load_program(&mut migration_loop_program(1, 10, 5)).unwrap())
+            .collect();
+        let requests: Vec<ServingRequest> = (0..24u64)
+            .map(|i| ServingRequest {
+                tenant: (i % 2) as usize,
+                arrival: Picos::from_micros(20 * i),
+                arg: i,
+            })
+            .collect();
+        let report = m
+            .run_serving(&tenants, &requests, u64::MAX / 2, QUANTUM)
+            .unwrap();
+        assert_eq!(report.completions.len(), 24);
+        assert!(report.completions.iter().all(|c| c.exit_code == 15));
+        assert_eq!(report.stats.get("migrations_host_to_nxp"), 24);
+        let mut left: Vec<u64> = m.threads.keys().copied().collect();
+        left.sort_unstable();
+        assert_eq!(left, tenants);
     }
 }

@@ -1,4 +1,5 @@
-//! The NxP runtime: scheduler state, timing, and per-thread bookkeeping.
+//! The NxP runtime: timing of the scheduler paths and the per-thread
+//! state the scheduler saves.
 //!
 //! On the prototype the NxP has no operating system — just a scheduler
 //! that polls the DMA status register, context-switches threads in when
@@ -10,7 +11,6 @@
 use flick_cpu::CpuContext;
 use flick_mem::VirtAddr;
 use flick_sim::Picos;
-use std::collections::HashMap;
 
 /// Timing of the NxP runtime paths (charged on the NxP clock).
 #[derive(Clone, Debug)]
@@ -67,15 +67,16 @@ impl Default for NxpTiming {
     }
 }
 
-/// Per-thread NxP state held by the scheduler.
+/// Per-thread NxP state held by the scheduler; the machine keeps it in
+/// the thread's one record, next to the host driver's state.
 ///
 /// A thread may hold accelerator frames on several cores at once — an
 /// rv64 function that calls an arm64 function parks its rv64 frame,
 /// bounces through the host, and opens a fresh arm64 frame — so the
 /// saved state is a *stack* of mid-frame parks plus one idle
 /// handler-loop checkpoint per accelerator ISA.
-#[derive(Clone, Debug)]
-pub struct NxpThread {
+#[derive(Clone, Debug, Default)]
+pub(crate) struct NxpThread {
     /// Mid-frame parks, innermost last: one per accelerator frame that
     /// escalated a call to the host and awaits its return descriptor.
     pub parks: Vec<CpuContext>,
@@ -88,59 +89,9 @@ pub struct NxpThread {
     pub fault_va: Option<VirtAddr>,
 }
 
-impl NxpThread {
-    /// A thread that has never run on an accelerator.
-    pub fn fresh() -> Self {
-        NxpThread {
-            parks: Vec::new(),
-            idle: std::array::from_fn(|_| None),
-            fault_va: None,
-        }
-    }
-}
-
-/// The NxP scheduler/runtime state.
-#[derive(Debug, Default)]
-pub struct NxpRuntime {
-    threads: HashMap<u64, NxpThread>,
-}
-
-impl NxpRuntime {
-    /// Creates an empty runtime.
-    pub fn new() -> Self {
-        NxpRuntime::default()
-    }
-
-    /// Per-thread state, created on first touch.
-    pub fn thread_mut(&mut self, pid: u64) -> &mut NxpThread {
-        self.threads.entry(pid).or_insert_with(NxpThread::fresh)
-    }
-
-    /// True when `pid` has previously run on an accelerator.
-    pub fn has_context(&self, pid: u64) -> bool {
-        self.threads
-            .get(&pid)
-            .is_some_and(|t| !t.parks.is_empty() || t.idle.iter().any(Option::is_some))
-    }
-
-    /// Number of threads the scheduler has seen.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn thread_state_created_on_demand() {
-        let mut rt = NxpRuntime::new();
-        assert!(!rt.has_context(5));
-        rt.thread_mut(5).idle[0] = Some(CpuContext::default());
-        assert!(rt.has_context(5));
-        assert_eq!(rt.thread_count(), 1);
-    }
 
     #[test]
     fn at_freq_scales_linearly() {

@@ -131,17 +131,6 @@ pub struct CoreConfig {
     /// (enforced by `tests/fastpath.rs`). On by default; switched off by
     /// the differential tests.
     pub fast_path: bool,
-    /// Enables block chaining: a completed block whose control transfer
-    /// lands on a statically known same-page successor continues in the
-    /// block lane through a lazily patched [`DecodedBlock`] link instead
-    /// of returning to `Core::run`'s top-level dispatch. Like
-    /// `fast_path` this is purely a host wall-clock optimization —
-    /// every chain follow re-validates exactly what dispatch would have
-    /// (fuel, page, I-TLB generation, text generation), so simulated
-    /// clocks, stats, and traces are bit-identical with chaining on or
-    /// off (enforced by `tests/blocks.rs`). Only meaningful with
-    /// `fast_path`; on by default.
-    pub chain: bool,
 }
 
 impl CoreConfig {
@@ -160,7 +149,6 @@ impl CoreConfig {
             dcache_nxp_dram: false,
             emulates_foreign_isa: false,
             fast_path: true,
-            chain: true,
         }
     }
 
@@ -220,7 +208,6 @@ impl CoreConfig {
             dcache_nxp_dram: false,
             emulates_foreign_isa: false,
             fast_path: true,
-            chain: true,
         }
     }
 }
@@ -375,7 +362,7 @@ impl CoreCounters {
 /// Host-side chain-efficacy tallies, deliberately a *separate* bag from
 /// [`CoreCounters`]: those materialize into the simulated [`Stats`] the
 /// differential suites compare bit-for-bit between engine variants, and
-/// chain behaviour must differ between chaining on and off. These
+/// chain behaviour must differ between the block engine and `step`. These
 /// counters describe the host execution strategy (which lane retired
 /// the work), not the simulated machine, so they are reported through
 /// their own accessor ([`Core::chain_counters`]) and never folded into
@@ -1219,7 +1206,6 @@ impl Core {
                 }
             },
         };
-        let chain = self.cfg.chain;
         // The chain loop: run the current block; while its control
         // transfer lands on a statically known same-page successor and
         // the follow validation holds, continue in the lane. The
@@ -1238,7 +1224,7 @@ impl Core {
             match self.exec_block(&cur, &fcv, mem, env, text_gen, left) {
                 Err(stop) => break Err(stop),
                 Ok(completed) => {
-                    if !chain || !completed {
+                    if !completed {
                         break Ok(());
                     }
                 }

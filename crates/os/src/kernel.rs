@@ -162,17 +162,6 @@ impl Kernel {
         Kernel::with_config(SystemMap::paper_default(), KernelConfig::default())
     }
 
-    /// Boots with an explicit map and timing model.
-    pub fn with_map(map: SystemMap, timing: OsTiming) -> Self {
-        Kernel::with_config(
-            map,
-            KernelConfig {
-                timing,
-                ..KernelConfig::default()
-            },
-        )
-    }
-
     /// Boots with full configuration (ablation knobs included).
     pub fn with_config(map: SystemMap, config: KernelConfig) -> Self {
         Kernel {
@@ -195,11 +184,6 @@ impl Kernel {
     /// The system memory map.
     pub fn map(&self) -> &SystemMap {
         &self.map
-    }
-
-    /// Number of tasks ever created.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
     }
 
     /// All tasks in creation order — the fleet-level census view used

@@ -21,12 +21,12 @@
 //! # Examples
 //!
 //! ```
-//! use flick_os::{Kernel, OsTiming};
+//! use flick_os::Kernel;
 //! use flick_mem::PhysMem;
 //!
 //! let mut mem = PhysMem::new();
 //! let mut kernel = Kernel::new(&mut mem);
-//! assert_eq!(kernel.task_count(), 0);
+//! assert_eq!(kernel.tasks().count(), 0);
 //! ```
 
 pub mod kernel;

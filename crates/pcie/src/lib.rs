@@ -221,12 +221,6 @@ impl DmaEngine {
         self.to_nxp.front().is_some_and(|d| d.arrival <= now)
     }
 
-    /// Earliest arrival time of a pending host→NxP descriptor, if any —
-    /// used by the simulation to fast-forward an idle poll loop.
-    pub fn next_nxp_arrival(&self) -> Option<Picos> {
-        self.to_nxp.front().map(|d| d.arrival)
-    }
-
     /// Pops the next host→NxP descriptor if it has arrived by `now`.
     pub fn poll_nxp(&mut self, now: Picos) -> Option<Vec<u8>> {
         if self.status_nxp(now) {
@@ -243,19 +237,6 @@ impl DmaEngine {
     fn compact_host_front(&mut self) {
         while matches!(self.to_host.front(), Some(None)) {
             self.to_host.pop_front();
-        }
-    }
-
-    /// Pops the next NxP→host descriptor if it has arrived by `now`
-    /// (the kernel reads it from the host-DRAM ring after the MSI).
-    pub fn take_host_desc(&mut self, now: Picos) -> Option<Vec<u8>> {
-        self.compact_host_front();
-        match self.to_host.front() {
-            Some(Some(d)) if d.arrival <= now => {
-                self.to_host_live = self.to_host_live.saturating_sub(1);
-                self.to_host.pop_front().flatten().map(|d| d.bytes)
-            }
-            _ => None,
         }
     }
 
@@ -429,19 +410,11 @@ impl PcieFabric {
     pub fn reap_channel(&mut self, k: usize) -> usize {
         self.channels[k].reap()
     }
-
-    /// Total bursts performed in either direction, summed over
-    /// channels.
-    pub fn total_bursts(&self) -> u64 {
-        self.channels
-            .iter()
-            .map(|c| c.bursts_to_nxp() + c.bursts_to_host())
-            .sum()
-    }
 }
 
 /// A pending-interrupt queue standing in for the host's LAPIC + IRQ
-/// subsystem. The kernel model drains it in timestamp order.
+/// subsystem. The kernel model claims each wake-up by its vector and
+/// exact delivery instant ([`InterruptController::take_vector_at`]).
 #[derive(Debug, Default)]
 pub struct InterruptController {
     pending: VecDeque<Msi>,
@@ -480,27 +453,6 @@ impl InterruptController {
         fate
     }
 
-    /// Pops the next interrupt deliverable at or before `now`.
-    pub fn take_due(&mut self, now: Picos) -> Option<Msi> {
-        if self.pending.front().is_some_and(|m| m.at <= now) {
-            self.pending.pop_front()
-        } else {
-            None
-        }
-    }
-
-    /// Pops the earliest interrupt on `vector` deliverable at or before
-    /// `now`, leaving other vectors' interrupts queued — how a
-    /// per-channel IRQ handler claims its own wake-ups on a machine
-    /// with several NxP channels.
-    pub fn take_due_vector(&mut self, now: Picos, vector: u32) -> Option<Msi> {
-        let idx = self
-            .pending
-            .iter()
-            .position(|m| m.at <= now && m.vector == vector)?;
-        self.pending.remove(idx)
-    }
-
     /// Removes the interrupt on `vector` raised for delivery at exactly
     /// `at`, leaving every other entry queued. A waiter that recorded
     /// its own MSI's arrival instant at raise time claims precisely
@@ -522,16 +474,6 @@ impl InterruptController {
         let before = self.pending.len();
         self.pending.retain(|m| m.vector != vector);
         before - self.pending.len()
-    }
-
-    /// Earliest pending delivery time, if any.
-    pub fn next_due(&self) -> Option<Picos> {
-        self.pending.front().map(|m| m.at)
-    }
-
-    /// Number of undelivered interrupts.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -565,7 +507,7 @@ mod tests {
         let (arrival, msi) = dma.kick_to_host(Picos::from_micros(1), vec![0u8; 64]);
         let msi = msi.expect("fault-free kick delivers");
         assert!(msi.at > arrival, "interrupt must not beat the data");
-        assert_eq!(dma.take_host_desc(arrival), Some(vec![0u8; 64]));
+        assert_eq!(dma.take_host_desc_where(arrival, |_| true), Some(vec![0u8; 64]));
     }
 
     #[test]
@@ -595,7 +537,7 @@ mod tests {
         assert_eq!(dma.depth_to_nxp(), 0);
         assert_eq!(dma.depth_to_host(), 0);
         assert_eq!(dma.poll_nxp(Picos::from_secs(1)), None);
-        assert_eq!(dma.take_host_desc(Picos::from_secs(1)), None);
+        assert_eq!(dma.take_host_desc_where(Picos::from_secs(1), |_| true), None);
         // A reap does not forget history: burst counters survive.
         assert_eq!(dma.bursts_to_nxp(), 2);
         assert_eq!(dma.bursts_to_host(), 1);
@@ -610,10 +552,11 @@ mod tests {
         irq.raise(Msi { vector: 1, at: Picos::from_nanos(2) });
         irq.raise(Msi { vector: 1, at: Picos::from_nanos(3) });
         assert_eq!(irq.purge_vector(1), 2);
-        assert_eq!(irq.pending(), 1);
-        let left = irq.take_due(Picos::from_nanos(9)).unwrap();
-        assert_eq!(left.vector, 0);
+        assert_eq!(irq.take_vector_at(Picos::from_nanos(2), 1), None);
+        assert_eq!(irq.take_vector_at(Picos::from_nanos(3), 1), None);
         assert_eq!(irq.purge_vector(7), 0);
+        let left = irq.take_vector_at(Picos::from_nanos(1), 0).unwrap();
+        assert_eq!(left.vector, 0);
     }
 
     #[test]
@@ -677,7 +620,7 @@ mod tests {
         let (arrival, msi, p) =
             dma.kick_to_host_faulty(Picos::ZERO, vec![0u8; 128], &mut plan);
         let idx = p.corrupted.unwrap();
-        let landed = dma.take_host_desc(arrival).unwrap();
+        let landed = dma.take_host_desc_where(arrival, |_| true).unwrap();
         assert_ne!(landed[idx], 0, "payload must land corrupted");
         assert!(msi.is_some(), "corruption does not lose the interrupt");
     }
@@ -690,7 +633,10 @@ mod tests {
             dma.kick_to_host_faulty(Picos::ZERO, vec![1u8; 128], &mut plan);
         assert!(p.dropped);
         assert!(msi.is_none());
-        assert_eq!(dma.take_host_desc(arrival + Picos::from_micros(50)), None);
+        assert_eq!(
+            dma.take_host_desc_where(arrival + Picos::from_micros(50), |_| true),
+            None
+        );
     }
 
     #[test]
@@ -719,7 +665,7 @@ mod tests {
         let (b, _) = dma.kick_to_host(Picos::ZERO, vec![3]);
         assert_eq!((dma.depth_to_nxp(), dma.depth_to_host()), (2, 1));
         dma.poll_nxp(a);
-        dma.take_host_desc(b);
+        dma.take_host_desc_where(b, |_| true);
         assert_eq!((dma.depth_to_nxp(), dma.depth_to_host()), (1, 0));
         // A dropped burst occupies the wire but never the ring.
         let mut plan = FaultPlan::seeded(12).with_drop_burst(1.0);
@@ -751,10 +697,14 @@ mod tests {
         let mut ic = InterruptController::new();
         let mut drop_plan = FaultPlan::seeded(5).with_drop_msi(1.0);
         assert_eq!(ic.raise_with(msi.clone(), &mut drop_plan), MsiFate::Dropped);
-        assert_eq!(ic.pending(), 0);
+        assert_eq!(ic.take_vector_at(msi.at, 0), None);
         let mut dup_plan = FaultPlan::seeded(6).with_dup_msi(1.0);
-        assert_eq!(ic.raise_with(msi, &mut dup_plan), MsiFate::Duplicated);
-        assert_eq!(ic.pending(), 2);
+        assert_eq!(ic.raise_with(msi.clone(), &mut dup_plan), MsiFate::Duplicated);
+        // Both edges sit at the same instant: the waiter claims one and
+        // the spurious-wakeup drain the other.
+        assert_eq!(ic.take_vector_at(msi.at, 0), Some(msi.clone()));
+        assert_eq!(ic.take_vector_at(msi.at, 0), Some(msi.clone()));
+        assert_eq!(ic.take_vector_at(msi.at, 0), None);
     }
 
     #[test]
@@ -767,7 +717,7 @@ mod tests {
         // Claim the second descriptor without disturbing the first.
         let got = dma.take_host_desc_where(b2, |b| b[0] == 2);
         assert_eq!(got, Some(vec![2, 2]));
-        assert_eq!(dma.take_host_desc(b2), Some(vec![1, 1]));
+        assert_eq!(dma.take_host_desc_where(b2, |_| true), Some(vec![1, 1]));
         // Not-yet-arrived descriptors never match.
         let (c, _) = dma.kick_to_host(b2, vec![3, 3]);
         assert_eq!(dma.take_host_desc_where(c - Picos(1), |_| true), None);
@@ -784,15 +734,15 @@ mod tests {
         // tombstone left behind, and FIFO order must survive around it.
         assert_eq!(dma.take_host_desc_where(b3, |b| b[0] == 2), Some(vec![2]));
         assert_eq!(dma.depth_to_host(), 2);
-        assert_eq!(dma.take_host_desc(b3), Some(vec![1]));
-        assert_eq!(dma.take_host_desc(b3), Some(vec![3]));
+        assert_eq!(dma.take_host_desc_where(b3, |_| true), Some(vec![1]));
+        assert_eq!(dma.take_host_desc_where(b3, |_| true), Some(vec![3]));
         assert_eq!(dma.depth_to_host(), 0);
-        assert_eq!(dma.take_host_desc(b3), None);
+        assert_eq!(dma.take_host_desc_where(b3, |_| true), None);
         // A predicate that matches nothing arrived leaves the ring whole.
         let (c, _) = dma.kick_to_host(b3, vec![4]);
         assert_eq!(dma.take_host_desc_where(c, |b| b[0] == 9), None);
         assert_eq!(dma.depth_to_host(), 1);
-        assert_eq!(dma.take_host_desc(c), Some(vec![4]));
+        assert_eq!(dma.take_host_desc_where(c, |_| true), Some(vec![4]));
     }
 
     #[test]
@@ -817,7 +767,10 @@ mod tests {
         let (_, msi1, _) = fab.kick_to_host_faulty(1, Picos::ZERO, vec![0u8; 64], &mut plan);
         assert_eq!(msi0.unwrap().vector, 0);
         assert_eq!(msi1.unwrap().vector, 1);
-        assert_eq!(fab.total_bursts(), 4);
+        for k in 0..2 {
+            let ch = fab.channel(k);
+            assert_eq!((ch.bursts_to_nxp(), ch.bursts_to_host()), (1, 1));
+        }
     }
 
     #[test]
@@ -835,18 +788,6 @@ mod tests {
         let (db, dm) = dma.kick_to_host(fa, vec![6u8; 64]);
         assert_eq!(fb, db);
         assert_eq!(fm.unwrap().at, dm.unwrap().at);
-    }
-
-    #[test]
-    fn take_due_vector_leaves_other_vectors() {
-        let mut ic = InterruptController::new();
-        ic.raise(Msi { vector: 1, at: Picos::from_nanos(10) });
-        ic.raise(Msi { vector: 0, at: Picos::from_nanos(20) });
-        let now = Picos::from_nanos(30);
-        assert_eq!(ic.take_due_vector(now, 0).unwrap().at, Picos::from_nanos(20));
-        assert_eq!(ic.pending(), 1);
-        assert_eq!(ic.take_due_vector(now, 0), None);
-        assert_eq!(ic.take_due_vector(now, 1).unwrap().at, Picos::from_nanos(10));
     }
 
     #[test]
@@ -868,12 +809,13 @@ mod tests {
             ic.take_vector_at(Picos::from_nanos(10), 2).unwrap().at,
             Picos::from_nanos(10)
         );
-        assert_eq!(ic.pending(), 0);
+        assert_eq!(ic.purge_vector(2), 0);
     }
 
     #[test]
-    fn irq_controller_orders_by_time() {
+    fn irq_claims_follow_the_instant_not_the_raise_order() {
         let mut ic = InterruptController::new();
+        // Raised out of time order, on two vectors.
         ic.raise(Msi {
             vector: 0,
             at: Picos::from_nanos(50),
@@ -882,11 +824,12 @@ mod tests {
             vector: 1,
             at: Picos::from_nanos(10),
         });
-        assert_eq!(ic.pending(), 2);
-        assert_eq!(ic.next_due(), Some(Picos::from_nanos(10)));
-        assert_eq!(ic.take_due(Picos::from_nanos(5)), None);
-        assert_eq!(ic.take_due(Picos::from_nanos(60)).unwrap().vector, 1);
-        assert_eq!(ic.take_due(Picos::from_nanos(60)).unwrap().vector, 0);
-        assert_eq!(ic.take_due(Picos::from_nanos(60)), None);
+        // Neither edge is claimable at another instant or vector.
+        assert_eq!(ic.take_vector_at(Picos::from_nanos(50), 1), None);
+        assert_eq!(ic.take_vector_at(Picos::from_nanos(10), 0), None);
+        // The later-raised, earlier edge does not block the other.
+        assert_eq!(ic.take_vector_at(Picos::from_nanos(50), 0).unwrap().vector, 0);
+        assert_eq!(ic.take_vector_at(Picos::from_nanos(10), 1).unwrap().vector, 1);
+        assert_eq!(ic.purge_vector(0) + ic.purge_vector(1), 0);
     }
 }

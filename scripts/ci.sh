@@ -16,18 +16,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 # than in a benchmark run.
 cargo test -q --release --offline --manifest-path paperbench/Cargo.toml
 
-# Smoke-run the bench harness (1 sample) and gate the cheap, stable
-# benches against the committed baseline: a >30% regression of the
-# interpreter or the 1-NxP migration path fails CI loudly, and any
-# drift in the deterministic fig_isa_matrix per-ISA-pair migration
-# cost fails exactly (1 sample is enough — simulated time is exact).
-tmp_bench="$(mktemp -t flick-bench-XXXXXX.json)"
-trap 'rm -f "$tmp_bench"' EXIT
-cargo bench -p flick-bench --bench simulator -- --samples 1 --json "$tmp_bench"
-cargo run --release -p flick-bench --bin bench_gate -- BENCH_simulator.json "$tmp_bench"
-
-# Block-lane differential smoke: the chaining suite proves step vs
-# block vs chained engines bit-identical (timing, stats, faults) in
+# Block-lane differential smoke: the chaining suite proves the chained
+# block engine and step bit-identical (timing, stats, faults) in
 # release across all three ISAs, every fuel cutoff, SMC rewriting a
 # chained successor mid-loop, and CR3 reloads between quanta.
 cargo test -q --release --test blocks
@@ -65,7 +55,7 @@ echo "failover chaos smoke: 8 seeds ok"
 # Chrome-trace JSON file (the example itself validates the JSON), and
 # a heterogeneous run must name its Perfetto tracks by ISA.
 tmp_trace="$(mktemp -t flick-timeline-XXXXXX.json)"
-trap 'rm -f "$tmp_bench" "$tmp_trace"' EXIT
+trap 'rm -f "$tmp_trace"' EXIT
 cargo run --release --example timeline -- 2 2 "$tmp_trace"
 test -s "$tmp_trace"
 cargo run --release --example timeline -- 1 2 "$tmp_trace" --isas rv64,arm64
@@ -84,3 +74,15 @@ done
 cargo run --release --example serving -- --timeline "$tmp_trace" > /dev/null
 test -s "$tmp_trace"
 echo "serving smoke: 2 seeds ok"
+
+# Smoke-run the bench harness (1 sample) and gate the cheap, stable
+# benches against the committed baseline: a >30% regression of the
+# interpreter or the 1-NxP migration path fails CI loudly, and any
+# drift in the deterministic fig_isa_matrix per-ISA-pair migration
+# cost fails exactly (1 sample is enough — simulated time is exact).
+# Last, so a wall-clock gate failure on a slower runner than the
+# baseline's recorder cannot hide the result of the smoke steps above.
+tmp_bench="$(mktemp -t flick-bench-XXXXXX.json)"
+trap 'rm -f "$tmp_trace" "$tmp_bench"' EXIT
+cargo bench -p flick-bench --bench simulator -- --samples 1 --json "$tmp_bench"
+cargo run --release -p flick-bench --bin bench_gate -- BENCH_simulator.json "$tmp_bench"

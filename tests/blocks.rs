@@ -2,15 +2,14 @@
 //! host-side optimization at the **core** level: a `Core` with the fast
 //! path disabled steps one instruction at a time through the full
 //! fetch→translate→decode→execute path; with it enabled the core
-//! replays decoded superblocks, and with block *chaining* enabled on
-//! top it follows patched successor links (and spins batched self-loop
-//! iterations) without returning to top-level dispatch. All three
-//! engines must agree bit-for-bit on the simulated clock, cycle count,
-//! every counter, the PC, all registers and the stop reason — for
-//! random programs, at every fuel cutoff, across faults raised
-//! mid-block, self-modifying text (including text a live chain points
-//! at), page-spanning instructions and TLB/CR3 invalidations, on all
-//! three ISAs.
+//! replays decoded superblocks, follows patched successor links between
+//! them (and spins batched self-loop iterations) without returning to
+//! top-level dispatch. Both engines must agree bit-for-bit on the
+//! simulated clock, cycle count, every counter, the PC, all registers
+//! and the stop reason — for random programs, at every fuel cutoff,
+//! across faults raised mid-block, self-modifying text (including text
+//! a live chain points at), page-spanning instructions and TLB/CR3
+//! invalidations, on all three ISAs.
 //!
 //! Cases are generated from the repo's own deterministic [`Xoshiro256`]
 //! so every run explores the same inputs — a failure reproduces by
@@ -55,20 +54,18 @@ fn fixture(target: TargetIsa, bytes: &[u8]) -> (PhysMem, PhysAddr) {
     (mem, cr3)
 }
 
-/// The engine variants every differential runs: blocks with chaining
-/// (the production default), blocks without chaining, and the pure
-/// step path. Chaining without the block engine is meaningless, so
-/// `(false, true)` is not a configuration.
-const ENGINES: [(bool, bool); 3] = [(true, true), (true, false), (false, false)];
+/// The engine variants every differential runs, as the `fast_path`
+/// setting: the chained block engine (the production default) and the
+/// pure step path, which is the reference.
+const ENGINES: [bool; 2] = [true, false];
 
-fn core_for(target: TargetIsa, (fast_path, chain): (bool, bool), cr3: PhysAddr) -> Core {
+fn core_for(target: TargetIsa, fast_path: bool, cr3: PhysAddr) -> Core {
     let mut cfg = if target == TargetIsa::Host {
         CoreConfig::host()
     } else {
         CoreConfig::accel(target)
     };
     cfg.fast_path = fast_path;
-    cfg.chain = chain;
     let mut core = Core::new(cfg);
     core.set_cr3(cr3);
     core.set_pc(VirtAddr(TEXT));
@@ -107,22 +104,14 @@ fn snap(stop: StopReason, core: &Core) -> Snap {
 /// Runs `bytes` on both engine variants with the given fuel and asserts
 /// the snapshots are identical; returns one of them for further checks.
 fn diff_run(target: TargetIsa, bytes: &[u8], fuel: u64, label: &str) -> Snap {
-    let mut snaps = Vec::new();
-    for engine in ENGINES {
+    let [blocks, step] = ENGINES.map(|engine| {
         let (mut mem, cr3) = fixture(target, bytes);
         let mut core = core_for(target, engine, cr3);
         let stop = core.run(&mut mem, &MemEnv::paper_default(), fuel);
-        snaps.push(snap(stop, &core));
-    }
-    let step = snaps.pop().unwrap();
-    let blocks = snaps.pop().unwrap();
-    let chained = snaps.pop().unwrap();
+        snap(stop, &core)
+    });
     assert_eq!(blocks, step, "{label}: block vs step diverged at fuel {fuel}");
-    assert_eq!(
-        chained, step,
-        "{label}: chained vs step diverged at fuel {fuel}"
-    );
-    chained
+    blocks
 }
 
 const ALL_ALU: [AluOp; 13] = [
